@@ -30,7 +30,6 @@ from .rings import (
     build_unramified,
     enumerate_residue_points,
     lift_from_residue,
-    reduce_to_residue,
     residue_field,
     truncated_fpt,
     truncated_zp,
@@ -40,12 +39,7 @@ from .polynomials import (
     PolyMap,
     functional_eq_on_residue,
     map_compose,
-    map_stat_d,
-    monomial_stat_d,
-    partial_derivative,
-    poly_compose,
-    poly_eval,
-    symbolic_eq,
+    residue_values,
 )
 from .jacobian import (
     AffineKellerAuto,
@@ -67,7 +61,6 @@ from .unimodular import (
     degree_bound_predicate,
     dim2_refinement_check,
     random_triangular_keller,
-    reduce_map,
     residue_zero_count,
 )
 from .hensel import (

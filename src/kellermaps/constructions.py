@@ -23,6 +23,7 @@ from .errors import (
     NonSingular,
     NotUnimodularVector,
     PreconditionFailed,
+    TheoremViolation,
     WrongCharacteristic,
     WrongRingKind,
 )
@@ -39,7 +40,7 @@ from .jacobian import (
     random_affine_keller,
     translate_map,
 )
-from .polynomials import MultiPoly, PolyMap
+from .polynomials import MultiPoly, PolyMap, residue_values
 from .rings import (
     DEFAULT_BUDGET,
     EQUAL,
@@ -50,12 +51,7 @@ from .rings import (
     truncated_fpt,
     truncated_zp,
 )
-from .unimodular import (
-    VERDICT_NOT_UNIMODULAR,
-    VERDICT_UNIMODULAR,
-    UnimodularityReport,
-    check_unimodular,
-)
+from .unimodular import VERDICT_UNIMODULAR, UnimodularityReport, check_unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +185,6 @@ def char_p_counterexample(
     f = PolyMap(comps)
     if not is_keller(f):  # pragma: no cover - derivative of X^p vanishes
         raise WrongCharacteristic("construction requires characteristic p")
-    report = check_unimodular(f)
-    assert report.verdict == VERDICT_NOT_UNIMODULAR
     return f
 
 
@@ -205,8 +199,8 @@ def g_composition_example(
 ) -> PolyMap:
     """F_j = X_j - X_j^5 + g(X_j^5) over GF(5)[T]/T^N.
 
-    Self-checked to be Keller and unimodular (the residue map sends the
-    origin to (4, ..., 4)). Note the residue map of F o F is *not* the zero
+    Keller and unimodular (the residue map sends the origin to
+    (4, ..., 4)). Note the residue map of F o F is *not* the zero
     function: it fixes every point with all coordinates 4, because
     g(g(4)) = g(0) = 4; see `g_composition_zero_defect`.
     """
@@ -220,8 +214,6 @@ def g_composition_example(
     f = PolyMap(comps)
     if not is_keller(f):  # pragma: no cover
         raise WrongCharacteristic("construction requires characteristic 5")
-    report = check_unimodular(f)
-    assert report.verdict == VERDICT_UNIMODULAR
     return f
 
 
@@ -233,14 +225,10 @@ def g_composition_zero_defect(f: PolyMap, budget: int = DEFAULT_BUDGET) -> dict:
     the count of nonzero values is q^n minus 4^n rather than zero.
     """
     res = f.reduce_to_residue()
-    k = res.ring
-    zero = tuple(k.zero for _ in range(f.nvars))
     zeros = 0
     nonzero_points = []
-    from .rings import enumerate_residue_points
-
-    for pt in enumerate_residue_points(k, f.nvars, budget):
-        if res.eval(res.eval(pt)) == zero:
+    for pt, v in residue_values(res, budget):
+        if all(x.is_zero for x in res.eval(v)):
             zeros += 1
         else:
             nonzero_points.append(pt)
@@ -340,7 +328,8 @@ def pair_transitivity(
     linear = mat_mul(a_target, adjugate_scalar(a_source))
     b = tuple(x - y for x, y in zip(a1, mat_vec(linear, list(c))))
     h = AffineKellerAuto(linear, b)
-    assert h.apply(c) == a1 and h.apply(d) == a2
+    if h.apply(c) != a1 or h.apply(d) != a2:
+        raise TheoremViolation("affine automorphism misses the requested pair")
     return PairTransitivityWitness(auto=h, source=(c, d), target=(a1, a2))
 
 
@@ -449,16 +438,6 @@ def invariance_probe(
                 )
             )
     return ProbeReport(trials=trials, seed=seed, failures=tuple(failures), base_report=base)
-
-
-def probe_affine(f: PolyMap, g: AffineKellerAuto, budget: int = DEFAULT_BUDGET) -> UnimodularityReport:
-    """Unimodularity of the single composition F o G o F."""
-    return check_unimodular(map_compose(f, map_compose(g.as_poly_map(), f)), budget)
-
-
-def probe_translation(f: PolyMap, a: Sequence, budget: int = DEFAULT_BUDGET) -> UnimodularityReport:
-    """Unimodularity of the single translation F - F(a)."""
-    return check_unimodular(translate_map(f, a), budget)
 
 
 def _vector_text(v) -> str:

@@ -16,15 +16,15 @@ from typing import Optional, Sequence
 
 from .errors import (
     BadPrime,
-    BudgetExceeded,
     InvalidInput,
     NoRootWithinBudget,
     NotKeller,
     PreconditionFailed,
     PrecisionTooLow,
+    TheoremViolation,
 )
 from .jacobian import adjugate_scalar, det_scalar, is_keller, jacobian_matrix
-from .polynomials import MultiPoly, PolyMap
+from .polynomials import MultiPoly, PolyMap, residue_values
 from .rings import (
     DEFAULT_BUDGET,
     EQUAL,
@@ -33,7 +33,7 @@ from .rings import (
     Ring,
     RingElement,
     build_unramified,
-    enumerate_residue_points,
+    least_root,
     lift_from_residue,
     lift_to_precision,
     point_index,
@@ -164,9 +164,10 @@ def hensel_lift(
 
     if work_ring is not ring:
         beta = tuple(project_to_precision(x, ring) for x in beta)
-    final = f.eval(beta)
-    assert min(v.ord for v in final) >= n_target
-    assert all((b - a).ord >= m + 1 for b, a in zip(beta, alpha))
+    if min(v.ord for v in f.eval(beta)) < n_target:
+        raise TheoremViolation("lifted point is not a root at the target precision")
+    if any((b - a).ord < m + 1 for b, a in zip(beta, alpha)):
+        raise TheoremViolation("lifted point left the congruence class of alpha")
     return HenselLiftResult(
         beta=beta,
         m=m,
@@ -202,13 +203,9 @@ def fiber_points(
     )
     if keller:
         shifted.cache_keller(True)
-    res = shifted.reduce_to_residue()
-    k = res.ring
-    zero = tuple(k.zero for _ in range(n))
-    solutions = []
-    for pt in enumerate_residue_points(ring, n, budget):
-        if res.eval(pt) == zero:
-            solutions.append(pt)
+    solutions = [
+        pt for pt, v in residue_values(shifted, budget) if all(x.is_zero for x in v)
+    ]
     lifted = []
     for pt in solutions:
         start = tuple(lift_from_residue(x, ring) for x in pt)
@@ -288,7 +285,8 @@ def discriminant(f) -> int:
     res = resultant(coeffs, deriv)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     lc = coeffs[-1]
-    assert res % lc == 0
+    if res % lc:
+        raise TheoremViolation(f"Res(f, f') = {res} is not divisible by lc(f) = {lc}")
     return sign * res // lc
 
 
@@ -321,18 +319,7 @@ def lift_univariate_root(
     for k in range(1, degree + 1):
         if p**k > budget:
             raise NoRootWithinBudget(f"GF({p}^{k}) exceeds the enumeration budget")
-        field = residue_field(p, k)
-        root_bar = None
-        for cand in field.elements():
-            acc = field.zero
-            power = field.one
-            for cval in coeffs:
-                if cval:
-                    acc = acc + power * cval
-                power = power * cand
-            if acc == field.zero:
-                root_bar = cand
-                break
+        root_bar = least_root(coeffs, residue_field(p, k))
         if root_bar is None:
             continue
         ring = build_unramified(p, k, precision)

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import ArityMismatch, InvalidInput, NotUnimodularVector, SizeGuardExceeded
+from .errors import (
+    ArityMismatch,
+    InvalidInput,
+    NotUnimodularVector,
+    SizeGuardExceeded,
+    TheoremViolation,
+)
 from .polynomials import MultiPoly, PolyMap, map_compose
 from .rings import Ring, RingElement
 
@@ -56,34 +62,35 @@ def jacobian_matrix(f: PolyMap) -> PolyMatrix:
     )
 
 
+def _cofactor_det(entries, one, zero):
+    """Cofactor expansion along the rows, memoised on the remaining column
+    set; zero entries are skipped."""
+    memo = {}
+
+    def minor(row: int, cols: tuple):
+        if not cols:
+            return one
+        acc = memo.get(cols)
+        if acc is None:
+            acc = zero
+            for k, c in enumerate(cols):
+                e = entries[row][c]
+                if not e.is_zero:
+                    term = e * minor(row + 1, cols[:k] + cols[k + 1 :])
+                    acc = acc - term if k % 2 else acc + term
+            memo[cols] = acc
+        return acc
+
+    return minor(0, tuple(range(len(entries))))
+
+
 def det_poly_matrix(m: PolyMatrix) -> MultiPoly:
     n = m.n
     if n > DET_SIZE_GUARD:
         raise SizeGuardExceeded(f"determinant of size {n} exceeds guard {DET_SIZE_GUARD}")
-    entries = m.entries
-    zero = MultiPoly.zero(m.ring, m.nvars)
-    memo = {}
-
-    def minor(row: int, cols: tuple) -> MultiPoly:
-        if not cols:
-            return MultiPoly.constant(m.ring, m.nvars, 1)
-        key = cols
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = zero
-        sign = 1
-        for k, c in enumerate(cols):
-            e = entries[row][c]
-            if not e.is_zero:
-                sub = minor(row + 1, cols[:k] + cols[k + 1 :])
-                term = e * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
+    return _cofactor_det(
+        m.entries, MultiPoly.constant(m.ring, m.nvars, 1), MultiPoly.zero(m.ring, m.nvars)
+    )
 
 
 def is_keller(f: PolyMap) -> bool:
@@ -102,26 +109,8 @@ def is_keller(f: PolyMap) -> bool:
 
 
 def det_scalar(a: Sequence[Sequence[RingElement]]) -> RingElement:
-    n = len(a)
     ring = a[0][0].ring
-    memo = {}
-
-    def minor(row: int, cols: tuple) -> RingElement:
-        if not cols:
-            return ring.one
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        acc = ring.zero
-        sign = 1
-        for k, c in enumerate(cols):
-            term = a[row][c] * minor(row + 1, cols[:k] + cols[k + 1 :])
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[cols] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
+    return _cofactor_det(a, ring.one, ring.zero)
 
 
 def adjugate_scalar(a: Sequence[Sequence[RingElement]]) -> tuple:
@@ -289,7 +278,8 @@ def complete_to_sl(v: Sequence[RingElement]) -> tuple:
     fix = d.inverse()
     for i in range(n):
         a[i][n - 1] = a[i][n - 1] * fix
-    assert det_scalar(a) == ring.one
+    if det_scalar(a) != ring.one:
+        raise TheoremViolation("SL completion does not have determinant 1")
     return tuple(tuple(r) for r in a)
 
 

@@ -6,13 +6,16 @@ empty term map and total degree NEG_INF. Maps are n-tuples of polynomials
 in n variables over a shared ring.
 
 Composition is symbolic. Where the underlying mathematics speaks of maps
-of sets, two equality notions apply: `symbolic_eq` (identical term maps)
-and `functional_eq_on_residue` (equal values at every residue point).
+of sets, two equality notions apply: `==` (identical term maps) and
+`functional_eq_on_residue` (equal values at every residue point).
+
+Every loop over residue points goes through `residue_values`, which fixes
+the canonical enumeration order in one place.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import ArityMismatch, RingMismatch
 from .rings import (
@@ -341,15 +344,6 @@ class PolyMap:
         return f"PolyMap(n={self.nvars} over {self.ring.describe()})"
 
 
-def poly_eval(f: MultiPoly, point: Sequence) -> RingElement:
-    return f.eval(point)
-
-
-def poly_compose(f: MultiPoly, g: "PolyMap | Sequence[MultiPoly]") -> MultiPoly:
-    subs = g.components if isinstance(g, PolyMap) else tuple(g)
-    return f.compose(subs)
-
-
 def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """The map x -> f(g(x))."""
     if f.nvars != g.nvars:
@@ -357,24 +351,12 @@ def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap([c.compose(g.components) for c in f.components])
 
 
-def partial_derivative(f: MultiPoly, i: int) -> MultiPoly:
-    return f.derivative(i)
-
-
-def monomial_stat_d(f: MultiPoly) -> int:
-    """Count of monomials of degree > 3 occurring in f."""
-    return f.monomials_above_degree(3)
-
-
-def map_stat_d(f: PolyMap) -> int:
-    return f.monomials_above_degree(3)
-
-
-def symbolic_eq(a, b) -> bool:
-    """Identical canonical term maps (component-wise for maps)."""
-    if isinstance(a, PolyMap) and isinstance(b, PolyMap):
-        return a == b
-    return a == b
+def residue_values(f: PolyMap, budget: int = DEFAULT_BUDGET) -> Iterator[tuple]:
+    """(point, value) of the reduced map at every residue point, in the
+    canonical enumeration order (lexicographic, last coordinate fastest)."""
+    res = f.reduce_to_residue()
+    for pt in enumerate_residue_points(res.ring, res.nvars, budget):
+        yield pt, res.eval(pt)
 
 
 def functional_eq_on_residue(a, b, budget: int = DEFAULT_BUDGET) -> bool:
@@ -389,7 +371,5 @@ def functional_eq_on_residue(a, b, budget: int = DEFAULT_BUDGET) -> bool:
     fb = b.reduce_to_residue()
     if fa.ring != fb.ring:
         raise RingMismatch("maps reduce to different residue fields")
-    for pt in enumerate_residue_points(fa.ring, fa.nvars, budget):
-        if fa.eval(pt) != fb.eval(pt):
-            return False
-    return True
+    diff = PolyMap([x - y for x, y in zip(fa.components, fb.components)])
+    return all(v.is_zero for _, value in residue_values(diff, budget) for v in value)

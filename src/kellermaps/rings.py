@@ -607,11 +607,6 @@ def build_unramified(p: int, n: int, precision: int) -> Ring:
     return Ring(UNRAMIFIED, p, n, precision, _find_modulus(p, n))
 
 
-def reduce_to_residue(x: RingElement) -> RingElement:
-    """Coefficient-wise projection onto the residue field."""
-    return x.reduce()
-
-
 def lift_from_residue(xbar: RingElement, ring: Ring) -> RingElement:
     """Canonical section of the residue map."""
     if xbar.ring != ring.residue_ring():
@@ -663,6 +658,20 @@ def enumerate_residue_points(
     if total > budget:
         raise BudgetExceeded(total, budget)
     return itertools.product(list(k.elements()), repeat=nvars)
+
+
+def eval_int_poly(coeffs: Sequence[int], x: RingElement) -> RingElement:
+    """Value at x of the integer polynomial with ascending coefficients (Horner)."""
+    acc = x.ring.zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def least_root(coeffs: Sequence[int], field: Ring) -> Optional[RingElement]:
+    """Least element of `field` in canonical order that is a root of the
+    integer polynomial with ascending coefficients, or None."""
+    return next((x for x in field.elements() if eval_int_poly(coeffs, x).is_zero), None)
 
 
 def point_index(point: Sequence[RingElement]) -> int:

@@ -3,8 +3,7 @@
 A Keller map is unimodular when its induced residue map is not the zero
 function. The decision enumerates residue points in canonical order; the
 reported witness is always the lexicographically least point with nonzero
-image, so reports are deterministic and independent of how the enumeration
-is partitioned across workers.
+image, so reports are deterministic.
 
 Degree-based certificates are attached where the hypotheses hold:
   * deg(residue map) <= q-1 forces a witness (Bezout counting),
@@ -21,20 +20,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    BudgetExceeded,
     DegenerateComponent,
     PreconditionFailed,
     TheoremViolation,
 )
 from .jacobian import AffineKellerAuto, apply_affine, is_keller, random_affine_keller
 from .parsing import map_digest
-from .polynomials import MultiPoly, PolyMap, map_stat_d
+from .polynomials import MultiPoly, PolyMap, residue_values
 from .rings import (
     DEFAULT_BUDGET,
     MIXED,
     Ring,
-    RingElement,
-    enumerate_residue_points,
+    eval_int_poly,
+    least_root,
     point_index,
     point_text,
     residue_field,
@@ -43,11 +41,6 @@ from .rings import (
 VERDICT_UNIMODULAR = "unimodular"
 VERDICT_NOT_UNIMODULAR = "not-unimodular"
 VERDICT_BUDGET_EXCEEDED = "budget-exceeded"
-
-
-def reduce_map(f: PolyMap) -> PolyMap:
-    """Coefficient-wise reduction onto the residue field."""
-    return f.reduce_to_residue()
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ def _certificates(f: PolyMap, keller: bool) -> dict:
     ring = f.ring
     q = ring.q
     n = f.nvars
-    res = reduce_map(f)
+    res = f.reduce_to_residue()
     out = {
         "q_minus_1": bool(keller and res.degree != float("-inf") and res.degree <= q - 1)
     }
@@ -99,7 +92,7 @@ def _certificates(f: PolyMap, keller: bool) -> dict:
     out["dim2_refinement"] = dim2
     dbound = False
     if keller and ring.kind == MIXED and ring.p > 3:
-        dbound = degree_bound_predicate(ring.p, n, map_stat_d(f)).holds
+        dbound = degree_bound_predicate(ring.p, n, f.monomials_above_degree(3)).holds
     out["d_bound"] = dbound
     return out
 
@@ -113,22 +106,17 @@ def _bezout_bound(res: PolyMap) -> Optional[int]:
     return bound
 
 
-def check_unimodular(
-    f: PolyMap, budget: int = DEFAULT_BUDGET, partitions: int = 1
-) -> UnimodularityReport:
+def check_unimodular(f: PolyMap, budget: int = DEFAULT_BUDGET) -> UnimodularityReport:
     """Decide whether the induced residue map is nonzero somewhere.
 
     The witness is the least nonzero point in enumeration order, so
     points_checked and zero_count are canonical: every earlier point maps
-    to zero. With partitions > 1 the range is scanned chunk-wise and
-    aggregated per the parallel contract (sum counts, min witness).
+    to zero.
     """
     ring = f.ring
     keller = is_keller(f)
-    res = reduce_map(f)
-    k = res.ring
-    n = f.nvars
-    required = k.element_count**n
+    res = f.reduce_to_residue()
+    required = res.ring.element_count**f.nvars
     common = dict(
         bezout_bound=_bezout_bound(res),
         keller=keller,
@@ -147,41 +135,10 @@ def check_unimodular(
             zero_count=0,
             **common,
         )
-    elements = list(k.elements())
-    zero = tuple(k.zero for _ in range(n))
-
-    def scan(start: int, stop: int):
-        """Least witness and zero count within [start, stop)."""
-        zeros = 0
-        for idx in range(start, stop):
-            pt = _point_from_index(elements, n, idx)
-            val = res.eval(pt)
-            if val == zero:
-                zeros += 1
-            else:
-                return pt, val, zeros
-        return None, None, zeros
-
-    if partitions <= 1:
-        witness, value, zeros = scan(0, required)
-    else:
-        chunk = (required + partitions - 1) // partitions
-        best = None
-        for t in range(partitions):
-            lo, hi = t * chunk, min((t + 1) * chunk, required)
-            if lo >= hi:
-                continue
-            w, v, _ = scan(lo, hi)
-            if w is not None:
-                best = (w, v)
-                break  # earlier chunks were exhausted: w is the global minimum
-        if best is None:
-            witness, value = None, None
-            zeros = required
-        else:
-            witness, value = best
-            zeros = point_index(witness)
-
+    witness, value = next(
+        ((pt, v) for pt, v in residue_values(res, budget) if any(not x.is_zero for x in v)),
+        (None, None),
+    )
     if witness is None:
         return UnimodularityReport(
             verdict=VERDICT_NOT_UNIMODULAR,
@@ -202,15 +159,6 @@ def check_unimodular(
     )
 
 
-def _point_from_index(elements: list, n: int, idx: int) -> tuple:
-    q = len(elements)
-    out = [None] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = elements[idx % q]
-        idx //= q
-    return tuple(out)
-
-
 def _extension_embedding(k: Ring, e: int):
     """The field GF(q^e) together with the embedding GF(q) -> GF(q^e).
 
@@ -223,43 +171,19 @@ def _extension_embedding(k: Ring, e: int):
     big = residue_field(k.p, k.residue_degree * e)
     if k.residue_degree == 1:
         return big, lambda x: big.from_int(x.val)
-    root = None
-    for cand in big.elements():
-        acc = big.zero
-        power = big.one
-        for c in k.modulus:
-            if c:
-                acc = acc + power * c
-            power = power * cand
-        if acc == big.zero:
-            root = cand
-            break
+    root = least_root(k.modulus, big)
     if root is None:  # pragma: no cover - splitting fields always contain a root
         raise TheoremViolation("modulus has no root in its splitting extension")
-
-    def embed(x: RingElement) -> RingElement:
-        acc = big.zero
-        power = big.one
-        for c in x.val:
-            if c:
-                acc = acc + power * c
-            power = power * root
-        return acc
-
-    return big, embed
+    return big, lambda x: eval_int_poly(x.val, root)
 
 
 def residue_zero_count(
     f: PolyMap, extension_degree: int = 1, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Number of points of GF(q^e)^n at which every residue component vanishes."""
-    res = reduce_map(f)
-    k = res.ring
+    res = f.reduce_to_residue()
     n = f.nvars
-    big, embed = _extension_embedding(k, extension_degree)
-    required = big.element_count**n
-    if required > budget:
-        raise BudgetExceeded(required, budget)
+    big, embed = _extension_embedding(res.ring, extension_degree)
     if extension_degree > 1:
         res = PolyMap(
             [
@@ -267,12 +191,7 @@ def residue_zero_count(
                 for comp in res.components
             ]
         )
-    zero = tuple(big.zero for _ in range(n))
-    count = 0
-    for pt in enumerate_residue_points(big, n, budget):
-        if res.eval(pt) == zero:
-            count += 1
-    return count
+    return sum(1 for _, v in residue_values(res, budget) if all(x.is_zero for x in v))
 
 
 @dataclass(frozen=True)
@@ -284,7 +203,7 @@ class BezoutCheck:
 
 def bezout_check(f: PolyMap, extension_degree: int = 1, budget: int = DEFAULT_BUDGET) -> BezoutCheck:
     """count(zeros over GF(q^e)) <= product of residue component degrees."""
-    res = reduce_map(f)
+    res = f.reduce_to_residue()
     bound = _bezout_bound(res)
     if bound is None:
         raise DegenerateComponent("a residue component is the zero polynomial")
@@ -310,7 +229,7 @@ def certify_q_minus_1(f: PolyMap, budget: int = DEFAULT_BUDGET) -> QMinus1Certif
     if not is_keller(f):
         raise PreconditionFailed("map is not Keller")
     q = f.ring.q
-    res = reduce_map(f)
+    res = f.reduce_to_residue()
     deg = res.degree
     if deg == float("-inf") or deg > q - 1:
         raise PreconditionFailed(f"residue degree {deg} exceeds q-1 = {q - 1}")
@@ -437,5 +356,4 @@ def random_triangular_keller(
         lin = AffineKellerAuto(sampled.a, [ring.zero] * nvars)
         out = apply_affine(lin.inverse(), apply_affine(lin, out, "left"), "right")
         out.cache_keller(True)
-    assert is_keller(out)
     return out

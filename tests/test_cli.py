@@ -126,6 +126,19 @@ def test_run_construct_charp():
     assert doc["zero_count"] == 25
 
 
+def test_main_construct_charp_over_budget_reports_verdict(tmp_path, capsys):
+    # 11^8 residue points exceed the default budget: the constructor must not
+    # scan on its own, so the report carries the budget verdict.
+    job = tmp_path / "job.txt"
+    job.write_text("ring fpt p=11 prec=2")
+    argv = [str(job), "--cmd", "construct", "--name", "charp", "--dim", "8", "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "budget-exceeded"
+    assert doc["required_points"] == 11**8
+    assert doc["points_checked"] == 0
+
+
 def test_run_bound():
     spec = parse_input(
         "ring zp p=5 prec=2", command="bound", options={"d": 2, "dim": 82}

@@ -11,8 +11,6 @@ from kellermaps.constructions import (
     g_composition_zero_defect,
     invariance_probe,
     pair_transitivity,
-    probe_affine,
-    probe_translation,
     quasi_druzkowski_map,
     quasi_druzkowski_witness,
     restrict_scalars,
@@ -24,8 +22,8 @@ from kellermaps.errors import (
     WrongCharacteristic,
     WrongRingKind,
 )
-from kellermaps.jacobian import AffineKellerAuto, det_scalar, is_keller
-from kellermaps.polynomials import MultiPoly, PolyMap
+from kellermaps.jacobian import AffineKellerAuto, det_scalar, is_keller, translate_map
+from kellermaps.polynomials import MultiPoly, PolyMap, map_compose
 from kellermaps.rings import build_unramified, truncated_fpt, truncated_zp
 from kellermaps.unimodular import (
     VERDICT_NOT_UNIMODULAR,
@@ -270,7 +268,7 @@ def test_probe_catches_translation_failure():
         MultiPoly.constant(e, 2, 1) - var(e, 2, i) ** 3 + var(e, 2, i) for i in range(2)
     ]
     f = PolyMap(comps)
-    rep = probe_translation(f, (1, 1))
+    rep = check_unimodular(translate_map(f, (1, 1)))
     assert rep.verdict == VERDICT_NOT_UNIMODULAR
     assert rep.zero_count == 9
     report = invariance_probe(f, trials=6, seed=12)
@@ -281,7 +279,8 @@ def test_probe_gmap_composition_is_not_a_failure():
     # The g-map composition F o Id o F stays unimodular (g(g(4)) = 4), so
     # the probe finds no composition failure through the identity.
     f = g_composition_example(1, 2)
-    rep = probe_affine(f, AffineKellerAuto.identity(f.ring, 1))
+    g = AffineKellerAuto.identity(f.ring, 1)
+    rep = check_unimodular(map_compose(f, map_compose(g.as_poly_map(), f)))
     assert rep.verdict == VERDICT_UNIMODULAR
     assert [x.val for x in rep.witness] == [4]
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,7 +26,6 @@ from kellermaps.unimodular import (
     degree_bound_predicate,
     dim2_refinement_check,
     random_triangular_keller,
-    reduce_map,
     residue_zero_count,
 )
 
@@ -51,15 +51,15 @@ def g_map(ring, n):
 
 def test_reduce_map_examples():
     z = truncated_zp(5, 2)
-    assert reduce_map(PolyMap.identity(z, 2)) == PolyMap.identity(residue_field(5), 2)
+    assert PolyMap.identity(z, 2).reduce_to_residue() == PolyMap.identity(residue_field(5), 2)
     e = truncated_fpt(5, 2)
     f = frobenius_deficit_map(e, 2)
-    red = reduce_map(f)
+    red = f.reduce_to_residue()
     assert red == frobenius_deficit_map(residue_field(5), 2)
     # all coefficients in the maximal ideal reduce to the zero map
     t = e.uniformizer()
     hidden = PolyMap([var(e, 2, i).scale(t) for i in range(2)])
-    assert all(c.is_zero for c in reduce_map(hidden).components)
+    assert all(c.is_zero for c in hidden.reduce_to_residue().components)
 
 
 def test_counterexample_report():
@@ -98,13 +98,29 @@ def test_budget_exceeded_is_a_verdict():
     assert report.required_points == 25
 
 
-def test_reports_identical_across_partitions():
+def test_report_matches_brute_force_least_witness():
     e = truncated_fpt(3, 2)
     maps = [frobenius_deficit_map(e, 2), PolyMap.identity(e, 2), g_map(truncated_fpt(5, 2), 2)]
     for f in maps:
-        base = check_unimodular(f)
-        for parts in (2, 3, 7):
-            assert check_unimodular(f, partitions=parts) == base
+        k = f.ring.residue_ring()
+        q = k.element_count
+        expected = None
+        for rank, digits in enumerate(itertools.product(range(q), repeat=f.nvars)):
+            pt = tuple(k.from_index(d) for d in digits)
+            value = f.eval(pt)
+            if any(not v.is_zero for v in value):
+                expected = (pt, value, rank)
+                break
+        report = check_unimodular(f)
+        if expected is None:
+            assert report.witness is None and report.witness_value is None
+            assert report.points_checked == report.zero_count == q**f.nvars
+        else:
+            pt, value, rank = expected
+            assert report.witness == pt
+            assert report.witness_value == value
+            assert report.points_checked == rank + 1
+            assert report.zero_count == rank
 
 
 def test_residue_zero_count_examples():
