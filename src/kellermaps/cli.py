@@ -77,7 +77,11 @@ def _parse_point(ring: Ring, text: str) -> tuple:
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        out.append(ring.from_int(int(chunk)))
+        try:
+            value = int(chunk)
+        except ValueError:
+            raise ValidationError(f"--point: {chunk!r} is not an integer") from None
+        out.append(ring.from_int(value))
     return tuple(out)
 
 
@@ -306,6 +310,10 @@ def main(argv=None) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read input: {exc}", file=sys.stderr)
+        return 2
+    try:
         options = {
             "point": args.point,
             "trials": args.trials,

@@ -40,7 +40,7 @@ from .jacobian import (
     random_affine_keller,
     translate_map,
 )
-from .polynomials import MultiPoly, PolyMap, residue_values
+from .polynomials import MultiPoly, PolyMap, ResidueMap, residue_values
 from .rings import (
     DEFAULT_BUDGET,
     EQUAL,
@@ -226,18 +226,13 @@ def g_composition_zero_defect(f: PolyMap, budget: int = DEFAULT_BUDGET) -> dict:
     coordinate in {0,..,3} toward 0 but fixes coordinates equal to 4, so
     the count of nonzero values is q^n minus 4^n rather than zero.
     """
-    res = f.reduce_to_residue()
-    zeros = 0
-    nonzero_points = []
-    for pt, v in residue_values(res, budget):
-        if all(x.is_zero for x in res.eval(v)):
-            zeros += 1
-        else:
-            nonzero_points.append(pt)
+    values = residue_values(f, budget)
+    apply = ResidueMap(f)
+    nonzero = [pt for pt, v in values if any(apply(v))]
     return {
-        "zeros": zeros,
-        "nonzeros": len(nonzero_points),
-        "first_nonzero": nonzero_points[0] if nonzero_points else None,
+        "zeros": f.ring.q**f.nvars - len(nonzero),
+        "nonzeros": len(nonzero),
+        "first_nonzero": tuple(map(apply.field.from_index, nonzero[0])) if nonzero else None,
     }
 
 

@@ -24,7 +24,7 @@ from .errors import (
     TheoremViolation,
 )
 from .jacobian import adjugate_scalar, det_scalar, is_keller, jacobian_matrix
-from .polynomials import MultiPoly, PolyMap, residue_values
+from .polynomials import MultiPoly, PolyMap, least_root, residue_values
 from .rings import (
     DEFAULT_BUDGET,
     EQUAL,
@@ -33,7 +33,6 @@ from .rings import (
     Ring,
     RingElement,
     build_unramified,
-    least_root,
     lift_from_residue,
     lift_to_precision,
     point_index,
@@ -203,12 +202,11 @@ def fiber_points(
     )
     if keller:
         shifted.cache_keller(True)
-    solutions = [
-        pt for pt, v in residue_values(shifted, budget) if all(x.is_zero for x in v)
-    ]
+    k = ring.residue_ring()
+    solutions = [pt for pt, v in residue_values(shifted, budget) if not any(v)]
     lifted = []
     for pt in solutions:
-        start = tuple(lift_from_residue(x, ring) for x in pt)
+        start = tuple(lift_from_residue(k.from_index(i), ring) for i in pt)
         lifted.append(hensel_lift(shifted, start).beta)
     out = sorted(set(lifted), key=point_index)
     if len(out) != len(solutions):  # pragma: no cover - uniqueness guarantees this

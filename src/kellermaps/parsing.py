@@ -75,46 +75,60 @@ class _Tokens:
 
 def parse_poly(text: str, ring: Ring, nvars: int, line: int = 1) -> MultiPoly:
     """Parse one polynomial over `ring` in variables X1..X<nvars>."""
+
+    def leaf(kind, value):
+        if kind == "int":
+            return MultiPoly.constant(ring, nvars, value)
+        if kind == "brack":
+            return MultiPoly.constant(ring, nvars, ring.from_coeffs(value))
+        return MultiPoly.variable(ring, nvars, value)
+
+    return _parse(text, leaf, nvars, line)
+
+
+def _parse(text: str, leaf, nvars: int, line: int):
+    """The shared grammar; `leaf(kind, value)` builds integer literals,
+    bracket vectors and variables (0-based) in the target arithmetic."""
     toks = _Tokens(text, line)
-    poly = _parse_sum(toks, ring, nvars)
+    poly = _parse_sum(toks, leaf, nvars)
     toks.expect_end()
     return poly
 
 
-def _parse_sum(toks, ring, nvars):
-    acc = _parse_signed_term(toks, ring, nvars, allow_leading_sign=True)
+def _parse_sum(toks, leaf, nvars):
+    acc = _parse_signed_term(toks, leaf, nvars, allow_leading_sign=True)
     while True:
         kind, value, _ = toks.peek()
         if kind == "op" and value in "+-":
             toks.next()
-            term = _parse_term(toks, ring, nvars)
+            term = _parse_term(toks, leaf, nvars)
             acc = acc + term if value == "+" else acc - term
         else:
             return acc
 
 
-def _parse_signed_term(toks, ring, nvars, allow_leading_sign):
+def _parse_signed_term(toks, leaf, nvars, allow_leading_sign):
     kind, value, _ = toks.peek()
     if allow_leading_sign and kind == "op" and value in "+-":
         toks.next()
-        term = _parse_term(toks, ring, nvars)
+        term = _parse_term(toks, leaf, nvars)
         return term if value == "+" else -term
-    return _parse_term(toks, ring, nvars)
+    return _parse_term(toks, leaf, nvars)
 
 
-def _parse_term(toks, ring, nvars):
-    acc = _parse_factor(toks, ring, nvars)
+def _parse_term(toks, leaf, nvars):
+    acc = _parse_factor(toks, leaf, nvars)
     while True:
         kind, value, _ = toks.peek()
         if kind == "op" and value == "*":
             toks.next()
-            acc = acc * _parse_factor(toks, ring, nvars)
+            acc = acc * _parse_factor(toks, leaf, nvars)
         else:
             return acc
 
 
-def _parse_factor(toks, ring, nvars):
-    base = _parse_atom(toks, ring, nvars)
+def _parse_factor(toks, leaf, nvars):
+    base = _parse_atom(toks, leaf, nvars)
     kind, value, col = toks.peek()
     if kind == "op" and value == "^":
         toks.next()
@@ -125,28 +139,68 @@ def _parse_factor(toks, ring, nvars):
     return base
 
 
-def _parse_atom(toks, ring, nvars):
+def _parse_atom(toks, leaf, nvars):
     kind, value, col = toks.next()
     if kind == "int":
-        return MultiPoly.constant(ring, nvars, int(value))
+        return leaf("int", int(value))
     if kind == "brack":
         inner = value[1:-1].strip()
-        coeffs = [int(c) for c in inner.split(",")] if inner else [0]
-        return MultiPoly.constant(ring, nvars, ring.from_coeffs(coeffs))
+        return leaf("brack", [int(c) for c in inner.split(",")] if inner else [0])
     if kind == "var":
         idx = int(value[1:])
         if not 1 <= idx <= nvars:
             raise ParseError(f"variable {value} outside X1..X{nvars}", toks.line, col)
-        return MultiPoly.variable(ring, nvars, idx - 1)
+        return leaf("var", idx - 1)
     if kind == "op" and value == "(":
-        poly = _parse_sum(toks, ring, nvars)
+        poly = _parse_sum(toks, leaf, nvars)
         kind, value, col = toks.next()
         if value != ")":
             raise ParseError("expected ')'", toks.line, col)
         return poly
     if kind == "op" and value == "-":
-        return -_parse_atom(toks, ring, nvars)
+        return -_parse_atom(toks, leaf, nvars)
     raise ParseError(f"expected a term, found {value!r}", toks.line, col)
+
+
+class _IntPoly:
+    """Sparse polynomial with exact int coefficients, for the grammar only."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict):
+        self.nvars = nvars
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return _IntPoly(self.nvars, out)
+
+    def __neg__(self):
+        return _IntPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return _IntPoly(self.nvars, out)
+
+    def __pow__(self, k: int):
+        acc = _IntPoly(self.nvars, {(0,) * self.nvars: 1})
+        base = self
+        while k:
+            if k & 1:
+                acc = acc * base
+            k >>= 1
+            if k:
+                base = base * base
+        return acc
 
 
 def parse_integer_poly(text: str, line: int = 1) -> dict:
@@ -158,15 +212,13 @@ def parse_integer_poly(text: str, line: int = 1) -> dict:
     if "[" in text:
         raise ParseError("bracket coefficients are not integers", line, text.index("[") + 1)
     nvars = max((int(m[1:]) for m in re.findall(r"X\d+", text)), default=1)
-    # run the shared grammar over a huge modulus; desk-scale integers round-trip
-    scratch = truncated_zp(2, 63)
-    poly = parse_poly(text, scratch, nvars, line)
-    half = scratch.element_count // 2
-    out = {}
-    for e, c in poly.terms.items():
-        v = c.val
-        out[e] = v - scratch.element_count if v > half else v
-    return out
+
+    def leaf(kind, value):
+        if kind == "int":
+            return _IntPoly(nvars, {(0,) * nvars: value})
+        return _IntPoly(nvars, {tuple(int(i == value) for i in range(nvars)): 1})
+
+    return _parse(text, leaf, nvars, line).terms
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ of sets, two equality notions apply: `==` (identical term maps) and
 `functional_eq_on_residue` (equal values at every residue point).
 
 Every loop over residue points goes through `residue_values`, which fixes
-the canonical enumeration order in one place.
+the canonical enumeration order in one place and runs the compiled
+`ResidueMap` on canonical element indices; `eval` stays the exact
+reference it is tested against, and serves Hensel lifting and descent.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import ArityMismatch, RingMismatch
@@ -22,7 +25,7 @@ from .rings import (
     DEFAULT_BUDGET,
     Ring,
     RingElement,
-    enumerate_residue_points,
+    residue_point_count,
 )
 
 NEG_INF = float("-inf")
@@ -40,6 +43,10 @@ class MultiPoly:
                 raise ArityMismatch(f"exponent {exp} has length != {nvars}")
             if any(e < 0 for e in exp):
                 raise ArityMismatch(f"negative exponent in {exp}")
+            if c.ring is not ring and c.ring != ring:
+                raise RingMismatch(
+                    f"coefficient in {c.ring.describe()} for a polynomial over {ring.describe()}"
+                )
             if not c.is_zero:
                 clean[exp] = c
         object.__setattr__(self, "ring", ring)
@@ -351,12 +358,217 @@ def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap([c.compose(g.components) for c in f.components])
 
 
+# last-coordinate values evaluated together when the map has one variable,
+# so the power columns of a large field are never all held at once
+_BLOCK = 4096
+
+
+class ResidueMap:
+    """The reduced map compiled onto canonical residue indices 0..q-1.
+
+    Each component becomes, per exponent of the last variable, a tuple of
+    (coefficient, nonzero (variable, exponent) pairs) in the other
+    variables; exponents are slots into the power table of the field.
+    Fixing the leading coordinates collapses a component to a polynomial in
+    the last one, which is then evaluated column-wise over all values of
+    the last coordinate. GF(p) uses int arithmetic mod p; GF(p^n) multiplies
+    by adding discrete logs and adds through the field's Zech-log table.
+    """
+
+    __slots__ = ("field", "nvars", "_arith", "_comps", "_depth")
+
+    def __init__(self, f: PolyMap):
+        res = f.reduce_to_residue()
+        k = res.ring
+        exps = sorted({e for c in res.components for exp in c.terms for e in exp} | {0})
+        slot = {e: s for s, e in enumerate(exps)}
+        arith = _PrimeArith(k, exps) if k.residue_degree == 1 else _ZechArith(k, exps)
+        comps = []
+        depth = []
+        for c in res.components:
+            groups = {}
+            for exp, coef in c.terms.items():
+                pairs = tuple((v, slot[e]) for v, e in enumerate(exp[:-1]) if e)
+                groups.setdefault(slot[exp[-1]], []).append((arith.coeff(coef), pairs))
+            comps.append(tuple((s, tuple(terms)) for s, terms in groups.items()))
+            # the last leading coordinate the component reads, -1 for none
+            depth.append(max((v for exp in c.terms for v, e in enumerate(exp[:-1]) if e), default=-1))
+        self.field = k
+        self.nvars = res.nvars
+        self._arith = arith
+        self._comps = tuple(comps)
+        self._depth = tuple(depth)
+
+    def __call__(self, point: Sequence[int]) -> tuple:
+        """Value indices at one point given by its coordinate indices."""
+        arith = self._arith
+        rows = list(zip(*arith.powers(point[:-1])))
+        powers = arith.powers(point[-1:])
+        return tuple(arith.column(arith.collapse(c, rows), powers, 1)[0] for c in self._comps)
+
+    def scan(self) -> Iterator[tuple]:
+        """(point indices, value indices) at every residue point, in the
+        canonical order (lexicographic, last coordinate fastest)."""
+        arith, comps, depth = self._arith, self._comps, self._depth
+        q = self.field.element_count
+        if self.nvars > 1:
+            powers = arith.powers(range(q))
+            rows = list(zip(*powers))
+            blocks = [(range(q), powers)]
+        else:
+            rows = []
+            spans = (range(lo, min(lo + _BLOCK, q)) for lo in range(0, q, _BLOCK))
+            blocks = ((xs, arith.powers(xs)) for xs in spans)
+        columns = [None] * len(comps)
+        changed = -1  # first leading coordinate that differs from the last prefix
+        for prefix in itertools.product(range(q), repeat=self.nvars - 1):
+            prefix_rows = [rows[x] for x in prefix]
+            polys = {
+                i: arith.collapse(comps[i], prefix_rows)
+                for i, d in enumerate(depth)
+                if d >= changed
+            }
+            head = [(x,) for x in prefix]
+            for xs, powers in blocks:
+                for i, poly in polys.items():
+                    columns[i] = arith.column(poly, powers, len(xs))
+                yield from zip(itertools.product(*head, xs), zip(*columns))
+            # the next prefix advances the last coordinate below q - 1 and
+            # resets the ones after it; components reading none of them
+            # keep their columns
+            changed = len(prefix) - 1
+            while changed > 0 and prefix[changed] == q - 1:
+                changed -= 1
+
+
+class _PrimeArith:
+    """GF(p), where an element's index is its value: int arithmetic mod p."""
+
+    __slots__ = ("p", "exps")
+
+    def __init__(self, k: Ring, exps: list):
+        self.p = k.p
+        self.exps = exps
+
+    def coeff(self, c: RingElement) -> int:
+        return c.val
+
+    def powers(self, xs) -> list:
+        """One column per exponent slot: x^e for every x in xs."""
+        p = self.p
+        return [[pow(x, e, p) for x in xs] for e in self.exps]
+
+    def collapse(self, comp: tuple, rows: list) -> tuple:
+        """(coefficient, last-variable slot) pairs of a component with the
+        leading coordinates fixed."""
+        p = self.p
+        out = []
+        for s, terms in comp:
+            acc = 0
+            for c, pairs in terms:
+                for v, t in pairs:
+                    c *= rows[v][t]
+                acc += c
+            acc %= p
+            if acc:
+                out.append((acc, s))
+        return tuple(out)
+
+    def column(self, poly: tuple, powers: list, size: int):
+        """Values of a collapsed component at every x of a block."""
+        if not poly:
+            return [0] * size
+        if len(poly) == 1 and poly[0][1] == 0:  # slot 0 is the exponent 0
+            return [poly[0][0]] * size
+        acc = None
+        for c, s in poly:
+            col = powers[s]
+            acc = [c * a for a in col] if acc is None else [u + c * a for u, a in zip(acc, col)]
+        p = self.p
+        return [u % p for u in acc]
+
+
+class _ZechArith:
+    """GF(p^n) in the log domain: g^i is stored as i, and zero as -1."""
+
+    __slots__ = ("exps", "m", "exp", "log", "zech")
+
+    def __init__(self, k: Ring, exps: list):
+        tables = k.zech_tables
+        self.exps = exps
+        self.m = len(tables.exp)
+        # a trailing zero, so that the zero log -1 maps to index 0
+        self.exp = tables.exp + (0,)
+        self.log = tables.log
+        self.zech = tables.zech
+
+    def coeff(self, c: RingElement) -> int:
+        return self.log[c.index]
+
+    def powers(self, xs) -> list:
+        log, m = self.log, self.m
+        return [[e * log[x] % m if x else (-1 if e else 0) for x in xs] for e in self.exps]
+
+    def _add(self, a: list, b: list) -> list:
+        """Element-wise sum of two log columns (a negative zech index counts
+        from the end, which is the difference modulo m)."""
+        zech, m = self.zech, self.m
+        return [
+            t if u < 0 else u if t < 0 else (-1 if (z := zech[t - u]) < 0 else (u + z) % m)
+            for u, t in zip(a, b)
+        ]
+
+    def collapse(self, comp: tuple, rows: list) -> tuple:
+        zech, m = self.zech, self.m
+        out = []
+        for s, terms in comp:
+            acc = -1
+            for c, pairs in terms:
+                for v, t in pairs:
+                    r = rows[v][t]
+                    if r < 0:
+                        break
+                    c += r
+                else:
+                    c %= m
+                    if acc < 0:
+                        acc = c
+                    else:
+                        z = zech[c - acc]
+                        acc = -1 if z < 0 else (acc + z) % m
+            if acc >= 0:
+                out.append((acc, s))
+        return tuple(out)
+
+    def column(self, poly: tuple, powers: list, size: int):
+        exp, m = self.exp, self.m
+        if not poly:
+            return [0] * size
+        if len(poly) == 1 and poly[0][1] == 0:
+            return [exp[poly[0][0]]] * size
+        acc = [-1] * size
+        for c, s in poly:
+            acc = self._add(acc, [(c + t) % m if t >= 0 else -1 for t in powers[s]])
+        return [exp[u] for u in acc]
+
+
 def residue_values(f: PolyMap, budget: int = DEFAULT_BUDGET) -> Iterator[tuple]:
-    """(point, value) of the reduced map at every residue point, in the
-    canonical enumeration order (lexicographic, last coordinate fastest)."""
-    res = f.reduce_to_residue()
-    for pt in enumerate_residue_points(res.ring, res.nvars, budget):
-        yield pt, res.eval(pt)
+    """(point indices, value indices) of the reduced map at every residue
+    point, in the canonical enumeration order; elements are canonical
+    indices (`Ring.from_index`), 0 being zero. Raises BudgetExceeded when
+    the q^n points exceed `budget`."""
+    residue_point_count(f.ring, f.nvars, budget)
+    return ResidueMap(f).scan()
+
+
+def least_root(
+    coeffs: Sequence[int], field: Ring, budget: int = DEFAULT_BUDGET
+) -> Optional[RingElement]:
+    """Least element of `field` in canonical order that is a root of the
+    integer polynomial with ascending coefficients, or None."""
+    poly = MultiPoly.from_int_terms(field, 1, {(e,): c for e, c in enumerate(coeffs)})
+    root = next((pt[0] for pt, v in residue_values(PolyMap([poly]), budget) if not v[0]), None)
+    return None if root is None else field.from_index(root)
 
 
 def functional_eq_on_residue(a, b, budget: int = DEFAULT_BUDGET) -> bool:
@@ -372,4 +584,4 @@ def functional_eq_on_residue(a, b, budget: int = DEFAULT_BUDGET) -> bool:
     if fa.ring != fb.ring:
         raise RingMismatch("maps reduce to different residue fields")
     diff = PolyMap([x - y for x, y in zip(fa.components, fb.components)])
-    return all(v.is_zero for _, value in residue_values(diff, budget) for v in value)
+    return not any(any(v) for _, v in residue_values(diff, budget))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import BudgetExceeded, InvalidInput, NonUnitInverse, RingMismatch
@@ -444,6 +444,13 @@ class Ring:
         for idx in range(self.element_count):
             yield self.from_index(idx)
 
+    @cached_property
+    def zech_tables(self) -> "ZechTables":
+        """Log tables of this extension residue field, built on first use."""
+        if self.kind != RESIDUE_FIELD or self.residue_degree == 1:
+            raise InvalidInput("log tables exist for extension residue fields only")
+        return _zech_tables(self)
+
     def random_element(self, rng) -> "RingElement":
         return self.from_index(rng.randrange(self.element_count))
 
@@ -571,6 +578,62 @@ class RingElement:
 
 
 # ---------------------------------------------------------------------------
+# discrete-log tables of GF(p^n), n > 1 (Lidl & Niederreiter, Finite Fields)
+
+
+@dataclass(frozen=True)
+class ZechTables:
+    """Antilog, log and Zech-log tables on canonical indices, for the least
+    primitive element g in canonical order and m = q - 1.
+
+    exp[i] is the index of g^i (0 <= i < m); log[a] is the i with g^i = a,
+    and log[0] = -1; zech[i] = log(1 + g^i), -1 where 1 + g^i = 0. Then
+    g^i + g^j = g^(i + zech[j - i]), exponents taken modulo m.
+    """
+
+    exp: tuple
+    log: tuple
+    zech: tuple
+
+
+def _prime_factors(m: int) -> list:
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _zech_tables(k: Ring) -> ZechTables:
+    p, q = k.p, k.q
+    m = q - 1
+    one = k.one
+    factors = _prime_factors(m)
+    g = next(
+        x
+        for x in map(k.from_index, range(2, q))
+        if all(x ** (m // r) != one for r in factors)
+    )
+    exp = [0] * m
+    log = [-1] * q
+    v = one.val
+    for i in range(m):
+        a = k.index_of(v)
+        exp[i] = a
+        log[a] = i
+        v = k._mul(v, g.val)
+    # adding one raises the lowest base-p digit of the index by one
+    zech = tuple(log[a - a % p + (a + 1) % p] for a in exp)
+    return ZechTables(tuple(exp), tuple(log), zech)
+
+
+# ---------------------------------------------------------------------------
 # public constructors and module-level operations
 
 
@@ -649,15 +712,20 @@ def project_to_precision(x: RingElement, ring: Ring) -> RingElement:
     return RingElement(ring, tuple(c % m for c in x.val))
 
 
+def residue_point_count(ring: Ring, nvars: int, budget: int = DEFAULT_BUDGET) -> int:
+    """q^nvars, the number of residue points; BudgetExceeded above `budget`."""
+    total = ring.residue_ring().element_count ** nvars
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    return total
+
+
 def enumerate_residue_points(
     ring: Ring, nvars: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple]:
     """All nvars-tuples over the residue field, lexicographic, last coordinate fastest."""
-    k = ring.residue_ring()
-    total = k.element_count**nvars
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    return itertools.product(list(k.elements()), repeat=nvars)
+    residue_point_count(ring, nvars, budget)
+    return itertools.product(list(ring.residue_ring().elements()), repeat=nvars)
 
 
 def eval_int_poly(coeffs: Sequence[int], x: RingElement) -> RingElement:
@@ -666,12 +734,6 @@ def eval_int_poly(coeffs: Sequence[int], x: RingElement) -> RingElement:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def least_root(coeffs: Sequence[int], field: Ring) -> Optional[RingElement]:
-    """Least element of `field` in canonical order that is a root of the
-    integer polynomial with ascending coefficients, or None."""
-    return next((x for x in field.elements() if eval_int_poly(coeffs, x).is_zero), None)
 
 
 def point_index(point: Sequence[RingElement]) -> int:

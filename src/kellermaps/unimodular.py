@@ -26,14 +26,12 @@ from .errors import (
 )
 from .jacobian import AffineKellerAuto, apply_affine, is_keller, random_affine_keller
 from .parsing import map_digest
-from .polynomials import MultiPoly, PolyMap, residue_values
+from .polynomials import MultiPoly, PolyMap, least_root, residue_values
 from .rings import (
     DEFAULT_BUDGET,
     MIXED,
     Ring,
     eval_int_poly,
-    least_root,
-    point_index,
     point_text,
     residue_field,
 )
@@ -135,9 +133,9 @@ def check_unimodular(f: PolyMap, budget: int = DEFAULT_BUDGET) -> UnimodularityR
             zero_count=0,
             **common,
         )
-    witness, value = next(
-        ((pt, v) for pt, v in residue_values(res, budget) if any(not x.is_zero for x in v)),
-        (None, None),
+    rank, witness, value = next(
+        ((i, pt, v) for i, (pt, v) in enumerate(residue_values(res, budget)) if any(v)),
+        (None, None, None),
     )
     if witness is None:
         return UnimodularityReport(
@@ -148,11 +146,11 @@ def check_unimodular(f: PolyMap, budget: int = DEFAULT_BUDGET) -> UnimodularityR
             zero_count=required,
             **common,
         )
-    rank = point_index(witness)
+    k = res.ring
     return UnimodularityReport(
         verdict=VERDICT_UNIMODULAR,
-        witness=witness,
-        witness_value=value,
+        witness=tuple(map(k.from_index, witness)),
+        witness_value=tuple(map(k.from_index, value)),
         points_checked=rank + 1,
         zero_count=rank,
         **common,
@@ -191,7 +189,7 @@ def residue_zero_count(
                 for comp in res.components
             ]
         )
-    return sum(1 for _, v in residue_values(res, budget) if all(x.is_zero for x in v))
+    return sum(1 for _, v in residue_values(res, budget) if not any(v))
 
 
 @dataclass(frozen=True)
@@ -301,7 +299,8 @@ def degree_bound_predicate(p: int, n: int, d: int) -> DegreeBoundResult:
     The verdict uses the exact integer equivalence
         d <= rhs  <=>  3^(2^d + n) <= p^n,
     so boundary cases are classified exactly; the float rhs is reported
-    for display only.
+    for display only. When 2^d alone reaches the bit length of p^n the
+    left side is larger, so the exact powers are built only for small d.
     """
     if p <= 3:
         raise PreconditionFailed("the bound requires p > 3")
@@ -311,7 +310,11 @@ def degree_bound_predicate(p: int, n: int, d: int) -> DegreeBoundResult:
     if inner <= 0:
         raise PreconditionFailed("inner logarithm argument is nonpositive")
     rhs = math.log(inner) / math.log(2.0)
-    holds = 3 ** (2**d + n) <= p**n
+    bits = n * p.bit_length()  # p^n < 2^bits
+    if d >= bits.bit_length():  # 2^d >= bits, so 3^(2^d + n) > 2^bits
+        holds = False
+    else:
+        holds = 3 ** (2**d + n) <= p**n
     return DegreeBoundResult(rhs=rhs, lhs=d, holds=holds)
 
 

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from kellermaps.cli import main, parse_input, render_json, run_job
-from kellermaps.errors import ParseError, ValidationError
+from kellermaps.errors import BadPrime, ParseError, ValidationError
 from kellermaps.parsing import (
     map_document,
+    parse_integer_poly,
     parse_map_document,
     parse_poly,
     parse_ring_line,
@@ -180,6 +181,37 @@ def test_main_exit_codes(tmp_path, capsys):
     notkeller = tmp_path / "notkeller.txt"
     notkeller.write_text("ring zp p=5 prec=2\nmap n=2\nF1 = X1 - X1^5\nF2 = X2 - X2^5\n")
     assert main([str(notkeller), "--cmd", "fiber"]) == 1
+
+
+def test_integer_poly_keeps_large_coefficients():
+    big = 2**63 + 1
+    assert parse_integer_poly(f"X1^2 + {big}") == {(2,): 1, (0,): big}
+    assert parse_integer_poly("-(X1 - 3)^3 + 2*X1") == {(3,): -1, (2,): 9, (1,): -25, (0,): 27}
+
+
+def test_run_lift_rejects_prime_dividing_large_discriminant():
+    # 3 divides 2^63 + 1, so the discriminant -4 (2^63 + 1) of X^2 + 2^63 + 1
+    spec = parse_input(
+        f"ring zp p=3 prec=4 / map n=1 / F1 = X1^2 + {2**63 + 1}", command="lift"
+    )
+    with pytest.raises(BadPrime):
+        run_job(spec)
+
+
+def test_main_bad_point_is_a_usage_error(tmp_path, capsys):
+    job = tmp_path / "job.txt"
+    job.write_text("ring zp p=7 prec=4\nmap n=1\nF1 = X1^2 - 2\n")
+    assert main([str(job), "--cmd", "lift", "--point", "a", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_main_missing_input_is_a_usage_error(tmp_path, capsys):
+    assert main([str(tmp_path / "missing.txt"), "--cmd", "check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "missing.txt" in captured.err
 
 
 def test_main_writes_output_file(tmp_path):

@@ -1,17 +1,22 @@
+import itertools
 import random
 
 import pytest
 
-from kellermaps.errors import ArityMismatch, RingMismatch
+from kellermaps.errors import ArityMismatch, BudgetExceeded, RingMismatch
 from kellermaps.polynomials import (
     NEG_INF,
     MultiPoly,
     PolyMap,
+    ResidueMap,
     functional_eq_on_residue,
+    least_root,
     map_compose,
+    residue_values,
 )
 from kellermaps.rings import (
     build_unramified,
+    eval_int_poly,
     residue_field,
     truncated_fpt,
     truncated_zp,
@@ -191,3 +196,77 @@ def test_degree_bookkeeping():
     f = PolyMap([var(z, 2, 0) + var(z, 2, 1) ** 3, var(z, 2, 1)])
     assert f.degree == 3
     assert f.components[1].total_degree == 1
+
+
+def test_foreign_coefficient_rejected():
+    with pytest.raises(RingMismatch):
+        MultiPoly(truncated_zp(5, 2), 1, {(1,): truncated_zp(7, 2)(3)})
+    # an equal ring built separately is the same ring
+    f = MultiPoly(truncated_zp(5, 2), 1, {(1,): truncated_zp(5, 2)(3)})
+    assert f.terms[(1,)] == 3
+
+
+def random_map(ring, n, rng, terms=4):
+    """Seeded map whose exponents reach past q, so reduction matters."""
+    top = ring.q + 1
+    comps = []
+    for _ in range(n):
+        comp = {}
+        for _ in range(rng.randrange(0, terms + 1)):
+            comp[tuple(rng.randrange(0, top + 1) for _ in range(n))] = ring.random_element(rng)
+        comps.append(MultiPoly(ring, n, comp))
+    return PolyMap(comps)
+
+
+KERNEL_RINGS = {
+    "zp": truncated_zp(5, 2),
+    "fpt": truncated_fpt(3, 2),
+    "unram-gf9": build_unramified(3, 2, 2),
+    "unram-gf8": build_unramified(2, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+def test_residue_kernel_matches_eval_everywhere(name):
+    ring = KERNEL_RINGS[name]
+    k = ring.residue_ring()
+    q = k.element_count
+    rng = random.Random(f"kernel-{name}")
+    for n in (n for n in range(1, 5) if q**n <= 1000):
+        for _ in range(3):
+            f = random_map(ring, n, rng)
+            kernel = ResidueMap(f)
+            scanned = list(residue_values(f))
+            assert [pt for pt, _ in scanned] == list(itertools.product(range(q), repeat=n))
+            for pt, value in scanned:
+                expected = f.eval(tuple(k.from_index(i) for i in pt))
+                assert tuple(k.from_index(i) for i in value) == expected
+                assert kernel(pt) == value
+
+
+def test_residue_kernel_one_variable_over_a_large_prime_field():
+    # one variable scans GF(p) in blocks; p = 4099 crosses a block boundary
+    k = residue_field(4099)
+    rng = random.Random(7)
+    coeffs = [rng.randrange(4099) for _ in range(4)]
+    f = PolyMap([MultiPoly.from_int_terms(k, 1, {(e,): c for e, c in enumerate(coeffs)})])
+    scanned = list(residue_values(f))
+    assert [pt for pt, _ in scanned] == [(x,) for x in range(4099)]
+    for (x,), (v,) in scanned:
+        assert v == eval_int_poly(coeffs, k.from_index(x)).val
+    roots = [x for x in k.elements() if eval_int_poly(coeffs, x).is_zero]
+    assert least_root(coeffs, k) == (roots[0] if roots else None)
+
+
+def test_least_root_in_extension_field():
+    # X^2 + 1 has no root in GF(3); in GF(9) its least root is the class of x
+    assert least_root([1, 0, 1], residue_field(3)) is None
+    big = residue_field(3, 2)
+    assert least_root([1, 0, 1], big) == big.theta()
+
+
+def test_residue_values_checks_budget_before_scanning():
+    f = PolyMap.identity(residue_field(5), 3)
+    with pytest.raises(BudgetExceeded) as err:
+        residue_values(f, budget=124)  # raised by the call, not by iteration
+    assert (err.value.required, err.value.budget) == (125, 124)

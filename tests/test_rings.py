@@ -177,3 +177,28 @@ def test_canonical_element_order_is_index():
     u = residue_field(2, 3)
     idx = [e.index for e in u.elements()]
     assert idx == list(range(8))
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_zech_tables(p, n):
+    k = residue_field(p, n)
+    q, m = k.q, k.q - 1
+    t = k.zech_tables
+    assert k.zech_tables is t  # built once per field
+    assert sorted(t.exp) == list(range(1, q))
+    assert t.log[0] == -1 and all(t.log[t.exp[i]] == i for i in range(m))
+    # the generator is the least primitive element in canonical order
+    g = k.from_index(t.exp[1])
+    for a in range(2, g.index):
+        x = k.from_index(a)
+        assert any(x**e == k.one for e in range(1, m))
+    for i in range(m):
+        total = k.from_index(t.exp[i]) + 1
+        assert (t.zech[i] == -1) if total.is_zero else (t.exp[t.zech[i]] == total.index)
+
+
+def test_zech_tables_only_for_extension_fields():
+    with pytest.raises(InvalidInput):
+        residue_field(5).zech_tables
+    with pytest.raises(InvalidInput):
+        build_unramified(2, 2, 2).zech_tables

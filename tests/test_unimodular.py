@@ -12,6 +12,8 @@ from kellermaps.jacobian import repeat_map
 from kellermaps.polynomials import MultiPoly, PolyMap
 from kellermaps.rings import (
     build_unramified,
+    enumerate_residue_points,
+    eval_int_poly,
     residue_field,
     truncated_fpt,
     truncated_zp,
@@ -149,6 +151,31 @@ def test_residue_zero_count_extension_of_extension_field():
     assert residue_zero_count(f, 2) == 4
 
 
+@pytest.mark.parametrize("ring", [truncated_zp(3, 2), build_unramified(2, 2, 1)])
+def test_residue_zero_count_extension_degree_2_matches_eval(ring):
+    # oracle: embed the coefficients by hand and count with PolyMap.eval
+    k = ring.residue_ring()
+    big = residue_field(k.p, 2 * k.residue_degree)
+    if k.residue_degree == 1:
+        embed = lambda c: big.from_int(c.val)  # noqa: E731
+    else:
+        root = next(x for x in big.elements() if eval_int_poly(k.modulus, x).is_zero)
+        embed = lambda c: eval_int_poly(c.val, root)  # noqa: E731
+    rng = random.Random(11)
+    for _ in range(4):
+        f = random_triangular_keller(ring, 2, 3, rng)
+        res = f.reduce_to_residue()
+        lifted = PolyMap(
+            [MultiPoly(big, 2, {e: embed(c) for e, c in comp.terms.items()})
+             for comp in res.components]
+        )
+        expected = sum(
+            1 for pt in enumerate_residue_points(big, 2)
+            if all(v.is_zero for v in lifted.eval(pt))
+        )
+        assert residue_zero_count(f, 2) == expected
+
+
 def test_residue_zero_count_budget():
     f5 = residue_field(5)
     with pytest.raises(BudgetExceeded):
@@ -237,6 +264,24 @@ def test_degree_bound_examples():
     assert not r.holds
     assert degree_bound_predicate(5, 4, 0).holds  # inner value below 1 but d = 0 passes
     # float and exact verdicts agree at the boundary floor(rhs)
+    assert degree_bound_predicate(5, 82, 5).holds
+    assert not degree_bound_predicate(5, 82, 6).holds
+
+
+def test_degree_bound_large_d_returns_at_once():
+    # 3^(2^40 + 2) is never built: 2^40 alone exceeds the bit length of 7^2
+    assert not degree_bound_predicate(7, 2, 40).holds
+    assert not degree_bound_predicate(101, 6, 10**6).holds
+
+
+def test_degree_bound_matches_exact_comparison_on_a_grid():
+    for p in (5, 7, 11, 13, 101):
+        for n in range(1, 7):
+            # past the bit-length switch d = bit_length(n * bitlen(p)) too
+            for d in range((n * p.bit_length()).bit_length() + 3):
+                exact = 3 ** (2**d + n) <= p**n
+                assert degree_bound_predicate(p, n, d).holds == exact, (p, n, d)
+    # both verdicts at the boundary floor(rhs) of a large dimension
     assert degree_bound_predicate(5, 82, 5).holds
     assert not degree_bound_predicate(5, 82, 6).holds
 
