@@ -22,35 +22,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
-from . import constructions, hensel, unimodular
-from .errors import (
-    KellermapsError,
-    ParseError,
-    ValidationError,
-)
-from .parsing import (
-    map_digest,
-    map_document,
-    parse_integer_poly,
-    parse_map_document,
-    poly_text,
-    ring_line,
-)
-from .polynomials import PolyMap
-from .rings import DEFAULT_BUDGET, Ring, point_text, text_of
-from .jacobian import is_keller
+# Only what argument parsing and error reporting need is imported here; each
+# command imports its library modules when it runs, so --help, usage errors
+# and unreadable input load no library module, and `check` never loads hensel
+# or constructions.
+from .errors import DEFAULT_BUDGET, KellermapsError, ParseError, ValidationError
 
 
-@dataclass
 class JobSpec:
-    ring: Ring
-    map: Optional[PolyMap]
-    raw_components: tuple
-    command: str = "check"
-    options: dict = field(default_factory=dict)
+    """A validated job: ring, parsed map (None without map lines), the raw
+    component texts, the command and its options."""
+
+    __slots__ = ("ring", "map", "raw_components", "command", "options")
+
+    def __init__(self, ring, map, raw_components, command="check", options=None):
+        self.ring = ring
+        self.map = map
+        self.raw_components = raw_components
+        self.command = command
+        self.options = {} if options is None else options
 
 
 DEFAULT_OPTIONS = {
@@ -64,16 +55,21 @@ DEFAULT_OPTIONS = {
 }
 
 
-def parse_input(text: str, command: str = "check", options: Optional[dict] = None) -> JobSpec:
-    """Validate a ring/map document into a JobSpec."""
-    ring, poly_map, raw = parse_map_document(text)
+def parse_input(text: str, command: str = "check", options: dict | None = None) -> JobSpec:
+    """Validate a ring/map document and the job options into a JobSpec."""
     opts = dict(DEFAULT_OPTIONS)
     if options:
         opts.update(options)
+    for key in ("trials", "dim"):
+        if opts[key] < 0:
+            raise ValidationError(f"--{key} must be >= 0, got {opts[key]}")
+    from .parsing import parse_map_document
+
+    ring, poly_map, raw = parse_map_document(text)
     return JobSpec(ring=ring, map=poly_map, raw_components=raw, command=command, options=opts)
 
 
-def _parse_point(ring: Ring, text: str) -> tuple:
+def _parse_point(ring, text: str) -> tuple:
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -93,13 +89,15 @@ def run_job(spec: JobSpec) -> dict:
     return handler(spec)
 
 
-def _need_map(spec: JobSpec) -> PolyMap:
+def _need_map(spec: JobSpec):
     if spec.map is None:
         raise ValidationError(f"command {spec.command!r} requires map components")
     return spec.map
 
 
 def _cmd_check(spec: JobSpec) -> dict:
+    from . import unimodular
+
     f = _need_map(spec)
     report = unimodular.check_unimodular(f, budget=spec.options["budget"])
     doc = report.to_dict()
@@ -108,6 +106,10 @@ def _cmd_check(spec: JobSpec) -> dict:
 
 
 def _cmd_lift(spec: JobSpec) -> dict:
+    from . import hensel
+    from .parsing import map_digest, parse_integer_poly
+    from .rings import point_text, text_of
+
     f = _need_map(spec)
     budget = spec.options["budget"]
     if spec.options["point"] is not None:
@@ -140,6 +142,10 @@ def _cmd_lift(spec: JobSpec) -> dict:
 
 
 def _cmd_fiber(spec: JobSpec) -> dict:
+    from . import hensel
+    from .parsing import map_digest
+    from .rings import point_text
+
     f = _need_map(spec)
     c = None
     if spec.options["point"] is not None:
@@ -156,6 +162,10 @@ def _cmd_fiber(spec: JobSpec) -> dict:
 
 
 def _cmd_restrict(spec: JobSpec) -> dict:
+    from . import constructions
+    from .jacobian import is_keller
+    from .parsing import poly_text
+
     f = _need_map(spec)
     descended = constructions.restrict_scalars(f)
     return {
@@ -170,6 +180,9 @@ def _cmd_restrict(spec: JobSpec) -> dict:
 
 
 def _cmd_probe(spec: JobSpec) -> dict:
+    from . import constructions
+    from .parsing import map_digest
+
     f = _need_map(spec)
     report = constructions.invariance_probe(
         f,
@@ -192,6 +205,8 @@ def _cmd_probe(spec: JobSpec) -> dict:
 
 
 def _cmd_bound(spec: JobSpec) -> dict:
+    from . import unimodular
+
     d = spec.options["d"]
     if d is None:
         if spec.map is None:
@@ -210,6 +225,8 @@ def _cmd_bound(spec: JobSpec) -> dict:
 
 
 def _cmd_construct(spec: JobSpec) -> dict:
+    from . import constructions, unimodular
+
     name = spec.options["name"]
     n = spec.options["dim"]
     ring = spec.ring
@@ -332,11 +349,15 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     rendered = render_json(doc) if args.json else render_text(doc)
-    if args.out:
+    if not args.out:
+        print(rendered)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
-    else:
-        print(rendered)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

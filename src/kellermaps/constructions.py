@@ -12,7 +12,6 @@ and p elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
@@ -32,7 +31,6 @@ from .jacobian import (
     AffineKellerAuto,
     adjugate_scalar,
     complete_to_sl,
-    det_scalar,
     is_keller,
     map_compose,
     mat_mul,
@@ -45,13 +43,14 @@ from .rings import (
     DEFAULT_BUDGET,
     EQUAL,
     UNRAMIFIED,
+    Record,
     Ring,
     RingElement,
     build_unramified,
     truncated_fpt,
     truncated_zp,
 )
-from .unimodular import VERDICT_UNIMODULAR, UnimodularityReport, check_unimodular
+from .unimodular import VERDICT_UNIMODULAR, check_unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +100,16 @@ def quasi_druzkowski_map(b: Sequence[Sequence[int]], ring: Ring) -> PolyMap:
     return PolyMap(comps)
 
 
-@dataclass(frozen=True)
-class QuasiDruzkowskiWitness:
-    u: tuple  # integer kernel vector with a p-unit coordinate
-    unit_index: int  # index where u is a unit
-    point: tuple  # 1 at unit_index, p elsewhere
-    map: PolyMap
-    combination_is_zero: bool  # sum u_j H_j = 0, checked symbolically
-    image_unit_index: int  # some F_j(point) is a unit
-    report: UnimodularityReport
+class QuasiDruzkowskiWitness(Record):
+    __slots__ = (
+        "u",  # integer kernel vector with a p-unit coordinate
+        "unit_index",  # index where u is a unit
+        "point",  # 1 at unit_index, p elsewhere
+        "map",
+        "combination_is_zero",  # sum u_j H_j = 0, checked symbolically
+        "image_unit_index",  # some F_j(point) is a unit
+        "report",
+    )
 
 
 def quasi_druzkowski_witness(
@@ -293,11 +293,12 @@ def coordinates_of_point(point: Sequence[RingElement]) -> tuple:
 # pair transitivity via SL completion
 
 
-@dataclass(frozen=True)
-class PairTransitivityWitness:
-    auto: AffineKellerAuto
-    source: tuple  # (c, d)
-    target: tuple  # (a1, a2)
+class PairTransitivityWitness(Record):
+    __slots__ = (
+        "auto",
+        "source",  # (c, d)
+        "target",  # (a1, a2)
+    )
 
 
 def pair_transitivity(
@@ -334,15 +335,16 @@ def pair_transitivity(
 # extension finder
 
 
-@dataclass(frozen=True)
-class ExtensionSearchResult:
-    ring: Ring
-    n: int
-    degree_bound: int
-    residue_size: int
-    certificate_lhs: int  # d^n
-    certificate_rhs: int  # (p^n)^n
-    certificate_holds: bool
+class ExtensionSearchResult(Record):
+    __slots__ = (
+        "ring",
+        "n",
+        "degree_bound",
+        "residue_size",
+        "certificate_lhs",  # d^n
+        "certificate_rhs",  # (p^n)^n
+        "certificate_holds",
+    )
 
 
 def find_d_unimodular_extension(p: int, d: int, precision: int) -> ExtensionSearchResult:
@@ -372,20 +374,17 @@ def find_d_unimodular_extension(p: int, d: int, precision: int) -> ExtensionSear
 # invariance probe
 
 
-@dataclass(frozen=True)
-class ProbeFailure:
-    kind: str  # "composition" or "translation"
-    trial: int
-    detail: str
-    report: UnimodularityReport
+class ProbeFailure(Record):
+    __slots__ = (
+        "kind",  # "composition" or "translation"
+        "trial",
+        "detail",
+        "report",
+    )
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    trials: int
-    seed: int
-    failures: tuple
-    base_report: UnimodularityReport
+class ProbeReport(Record):
+    __slots__ = ("trials", "seed", "failures", "base_report")
 
     @property
     def all_passed(self) -> bool:

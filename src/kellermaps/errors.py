@@ -21,6 +21,10 @@ class ArityMismatch(KellermapsError):
     """Point length or component count does not match the variable count."""
 
 
+# points an enumeration may visit unless the caller sets its own budget
+DEFAULT_BUDGET = 10_000_000
+
+
 class BudgetExceeded(KellermapsError):
     """An enumeration would visit more points than the configured budget."""
 

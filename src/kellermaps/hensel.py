@@ -11,7 +11,6 @@ boosted precision so the divisions never cost digits of the final answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -30,7 +29,7 @@ from .rings import (
     EQUAL,
     MIXED,
     RESIDUE_FIELD,
-    Ring,
+    Record,
     RingElement,
     build_unramified,
     lift_from_residue,
@@ -41,14 +40,15 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
-class HenselLiftResult:
-    beta: tuple
-    m: int
-    iterations: int
-    uniqueness_exponent: int  # beta is unique in alpha + M^uniqueness_exponent
-    precision: int
-    progress: tuple  # worst component valuation after each iteration
+class HenselLiftResult(Record):
+    __slots__ = (
+        "beta",
+        "m",
+        "iterations",
+        "uniqueness_exponent",  # beta is unique in alpha + M^uniqueness_exponent
+        "precision",
+        "progress",  # worst component valuation after each iteration
+    )
 
     def __iter__(self):
         return iter(self.beta)
@@ -288,12 +288,8 @@ def discriminant(f) -> int:
     return sign * res // lc
 
 
-@dataclass(frozen=True)
-class UnivariateLift:
-    ring: Ring
-    root: RingElement
-    residue_degree: int
-    lift: HenselLiftResult
+class UnivariateLift(Record):
+    __slots__ = ("ring", "root", "residue_degree", "lift")
 
 
 def lift_univariate_root(

@@ -51,9 +51,6 @@ class PolyMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def det(self) -> MultiPoly:
-        return det_poly_matrix(self)
-
 
 def jacobian_matrix(f: PolyMap) -> PolyMatrix:
     """Entry (i, j) is the partial of component i by variable j."""

@@ -94,9 +94,6 @@ class MultiPoly:
         """Number of stored monomials of total degree greater than `bound`."""
         return sum(1 for e in self.terms if sum(e) > bound)
 
-    def constant_term(self) -> RingElement:
-        return self.terms.get((0,) * self.nvars, self.ring.zero)
-
     def _check_same(self, other: "MultiPoly"):
         if self.ring != other.ring:
             raise RingMismatch("polynomials over different rings")

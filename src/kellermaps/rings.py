@@ -30,18 +30,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import BudgetExceeded, InvalidInput, NonUnitInverse, RingMismatch
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InvalidInput, NonUnitInverse, RingMismatch
 
 RESIDUE_FIELD = "residue-field"
 MIXED = "mixed-char-truncated"
 EQUAL = "equal-char-truncated"
 UNRAMIFIED = "unramified-truncated"
-
-DEFAULT_BUDGET = 10_000_000
 
 
 def is_prime(p: int) -> bool:
@@ -129,17 +126,66 @@ def _find_modulus(p: int, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+class Record:
+    """Immutable value object whose fields are the subclass's ``__slots__``.
+
+    Built by position or keyword; compared, hashed and shown as the tuple
+    of its fields, like a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) > len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
 class Ring:
-    """Descriptor of a residue field or truncated local ring (O, M, k)."""
+    """Descriptor of a residue field or truncated local ring (O, M, k).
 
-    kind: str
-    p: int
-    residue_degree: int = 1
-    precision: int = 1
-    modulus: Optional[tuple] = None
+    Immutable; equal and hashed on its five parameters. The log tables of
+    an extension residue field are built on first use of `zech_tables`.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("kind", "p", "residue_degree", "precision", "modulus", "_key", "_zech")
+
+    def __init__(
+        self,
+        kind: str,
+        p: int,
+        residue_degree: int = 1,
+        precision: int = 1,
+        modulus: Optional[tuple] = None,
+    ):
+        key = (kind, p, residue_degree, precision, modulus)
+        for name, value in zip(self.__slots__, key):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_zech", None)
         if not is_prime(self.p):
             raise InvalidInput(f"{self.p} is not prime")
         if self.precision < 1 or self.residue_degree < 1:
@@ -160,6 +206,26 @@ class Ring:
                 raise InvalidInput("modulus is reducible over GF(p)")
         elif self.modulus is not None:
             raise InvalidInput("degree-1 rings carry no modulus")
+
+    def __setattr__(self, *_):
+        raise AttributeError("rings are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Ring:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        kind, p, degree, precision, modulus = self._key
+        return (f"Ring(kind={kind!r}, p={p!r}, residue_degree={degree!r}, "
+                f"precision={precision!r}, modulus={modulus!r})")
 
     # -- structure ---------------------------------------------------------
 
@@ -444,12 +510,16 @@ class Ring:
         for idx in range(self.element_count):
             yield self.from_index(idx)
 
-    @cached_property
+    @property
     def zech_tables(self) -> "ZechTables":
         """Log tables of this extension residue field, built on first use."""
-        if self.kind != RESIDUE_FIELD or self.residue_degree == 1:
-            raise InvalidInput("log tables exist for extension residue fields only")
-        return _zech_tables(self)
+        tables = self._zech
+        if tables is None:
+            if self.kind != RESIDUE_FIELD or self.residue_degree == 1:
+                raise InvalidInput("log tables exist for extension residue fields only")
+            tables = _zech_tables(self)
+            object.__setattr__(self, "_zech", tables)
+        return tables
 
     def random_element(self, rng) -> "RingElement":
         return self.from_index(rng.randrange(self.element_count))
@@ -581,8 +651,7 @@ class RingElement:
 # discrete-log tables of GF(p^n), n > 1 (Lidl & Niederreiter, Finite Fields)
 
 
-@dataclass(frozen=True)
-class ZechTables:
+class ZechTables(Record):
     """Antilog, log and Zech-log tables on canonical indices, for the least
     primitive element g in canonical order and m = q - 1.
 
@@ -591,9 +660,7 @@ class ZechTables:
     g^i + g^j = g^(i + zech[j - i]), exponents taken modulo m.
     """
 
-    exp: tuple
-    log: tuple
-    zech: tuple
+    __slots__ = ("exp", "log", "zech")
 
 
 def _prime_factors(m: int) -> list:

@@ -16,10 +16,10 @@ Degree-based certificates are attached where the hypotheses hold:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
+    BudgetExceeded,
     DegenerateComponent,
     PreconditionFailed,
     TheoremViolation,
@@ -30,6 +30,7 @@ from .polynomials import MultiPoly, PolyMap, least_root, residue_values
 from .rings import (
     DEFAULT_BUDGET,
     MIXED,
+    Record,
     Ring,
     eval_int_poly,
     point_text,
@@ -41,20 +42,21 @@ VERDICT_NOT_UNIMODULAR = "not-unimodular"
 VERDICT_BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
-class UnimodularityReport:
-    verdict: str
-    witness: Optional[tuple]
-    witness_value: Optional[tuple]
-    points_checked: int
-    zero_count: int
-    bezout_bound: Optional[int]
-    keller: Optional[bool]
-    certificates: dict
-    ring_text: str
-    map_digest: str
-    required_points: int
-    budget: int
+class UnimodularityReport(Record):
+    __slots__ = (
+        "verdict",
+        "witness",
+        "witness_value",
+        "points_checked",
+        "zero_count",
+        "bezout_bound",
+        "keller",
+        "certificates",
+        "ring_text",
+        "map_digest",
+        "required_points",
+        "budget",
+    )
 
     def to_dict(self) -> dict:
         d = {
@@ -178,9 +180,16 @@ def _extension_embedding(k: Ring, e: int):
 def residue_zero_count(
     f: PolyMap, extension_degree: int = 1, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """Number of points of GF(q^e)^n at which every residue component vanishes."""
+    """Number of points of GF(q^e)^n at which every residue component vanishes.
+
+    The point count q^(e n) is checked against the budget before GF(q^e)
+    and its embedding are built.
+    """
     res = f.reduce_to_residue()
     n = f.nvars
+    required = res.ring.q ** (extension_degree * n)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
     big, embed = _extension_embedding(res.ring, extension_degree)
     if extension_degree > 1:
         res = PolyMap(
@@ -192,11 +201,8 @@ def residue_zero_count(
     return sum(1 for _, v in residue_values(res, budget) if not any(v))
 
 
-@dataclass(frozen=True)
-class BezoutCheck:
-    bound: int
-    count: int
-    satisfied: bool
+class BezoutCheck(Record):
+    __slots__ = ("bound", "count", "satisfied")
 
 
 def bezout_check(f: PolyMap, extension_degree: int = 1, budget: int = DEFAULT_BUDGET) -> BezoutCheck:
@@ -209,13 +215,8 @@ def bezout_check(f: PolyMap, extension_degree: int = 1, budget: int = DEFAULT_BU
     return BezoutCheck(bound=bound, count=count, satisfied=count <= bound)
 
 
-@dataclass(frozen=True)
-class QMinus1Certificate:
-    witness: tuple
-    witness_value: tuple
-    residue_degree_bound: int
-    map_degree: int
-    report: UnimodularityReport
+class QMinus1Certificate(Record):
+    __slots__ = ("witness", "witness_value", "residue_degree_bound", "map_degree", "report")
 
 
 def certify_q_minus_1(f: PolyMap, budget: int = DEFAULT_BUDGET) -> QMinus1Certificate:
@@ -245,13 +246,8 @@ def certify_q_minus_1(f: PolyMap, budget: int = DEFAULT_BUDGET) -> QMinus1Certif
     )
 
 
-@dataclass(frozen=True)
-class Dim2Certificate:
-    zero_count: int
-    min_degree: int
-    degree_cap: int
-    witness: tuple
-    report: UnimodularityReport
+class Dim2Certificate(Record):
+    __slots__ = ("zero_count", "min_degree", "degree_cap", "witness", "report")
 
 
 def dim2_refinement_check(f: PolyMap, budget: int = DEFAULT_BUDGET) -> Dim2Certificate:
@@ -286,11 +282,8 @@ def dim2_refinement_check(f: PolyMap, budget: int = DEFAULT_BUDGET) -> Dim2Certi
     )
 
 
-@dataclass(frozen=True)
-class DegreeBoundResult:
-    rhs: float
-    lhs: int
-    holds: bool
+class DegreeBoundResult(Record):
+    __slots__ = ("rhs", "lhs", "holds")
 
 
 def degree_bound_predicate(p: int, n: int, d: int) -> DegreeBoundResult:

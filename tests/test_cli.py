@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -221,3 +222,28 @@ def test_main_writes_output_file(tmp_path):
     assert main([str(job), "--cmd", "check", "--json", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["zero_count"] == 25
+
+
+def test_main_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    job = tmp_path / "job.txt"
+    job.write_text(COUNTEREXAMPLE.replace(" / ", "\n"))
+    out = tmp_path / "no-such-dir" / "r.txt"
+    assert main([str(job), "--cmd", "check", "--json", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--cmd", "probe", "--trials", "-1"], ["--cmd", "construct", "--name", "charp", "--dim", "-1"]],
+)
+def test_main_negative_count_is_a_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("ring fpt p=5 prec=2 / map n=1 / F1 = X1"))
+    assert main(["-", "--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[-2]} must be >= 0")
+    with pytest.raises(ValidationError):
+        parse_input("ring zp p=3 prec=2 / map n=1 / F1 = X1", "probe", {"trials": -1})

@@ -4,7 +4,10 @@ import pytest
 
 from kellermaps.errors import BudgetExceeded, InvalidInput, NonUnitInverse, RingMismatch
 from kellermaps.rings import (
+    MIXED,
+    RESIDUE_FIELD,
     Ring,
+    ZechTables,
     build_unramified,
     enumerate_residue_points,
     lift_from_residue,
@@ -202,3 +205,29 @@ def test_zech_tables_only_for_extension_fields():
         residue_field(5).zech_tables
     with pytest.raises(InvalidInput):
         build_unramified(2, 2, 2).zech_tables
+
+
+def test_ring_is_an_immutable_value():
+    a, b = truncated_zp(5, 2), Ring(MIXED, 5, 1, 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != truncated_zp(5, 3) and a != "Z/5^2"
+    assert residue_field(2, 2) == Ring(RESIDUE_FIELD, 2, residue_degree=2, modulus=(1, 1, 1))
+    assert eval(repr(a), {"Ring": Ring}) == a
+    with pytest.raises(AttributeError):
+        a.precision = 3
+    with pytest.raises(InvalidInput):
+        Ring(RESIDUE_FIELD, 2, 2, 1, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over GF(2)
+
+
+def test_record_is_an_immutable_value():
+    t = ZechTables((1, 2), (-1, 0, 1), zech=(1, -1))
+    same = ZechTables(exp=(1, 2), log=(-1, 0, 1), zech=(1, -1))
+    assert t == same and hash(t) == hash(same)
+    assert t != ZechTables((2, 1), (-1, 0, 1), (1, -1)) and t != (1, 2)
+    assert repr(t) == "ZechTables(exp=(1, 2), log=(-1, 0, 1), zech=(1, -1))"
+    with pytest.raises(AttributeError):
+        t.exp = ()
+    with pytest.raises(TypeError):
+        ZechTables((1, 2))
+    with pytest.raises(TypeError):
+        ZechTables((1, 2), (-1,), (1,), extra=0)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kellermaps import unimodular
 from kellermaps.errors import (
     BudgetExceeded,
     DegenerateComponent,
@@ -149,6 +150,22 @@ def test_residue_zero_count_extension_of_extension_field():
     f = frobenius_deficit_map(f4, 1, d=4)
     assert residue_zero_count(f, 1) == 4
     assert residue_zero_count(f, 2) == 4
+
+
+def test_residue_zero_count_checks_budget_before_building_the_extension(monkeypatch):
+    # 4^8 points of GF(4^8): the budget verdict must come before GF(2^16) is
+    # built and searched for a root of the GF(4) modulus
+    def no_extension(*args):
+        raise AssertionError("extension field built despite the budget")
+
+    monkeypatch.setattr(unimodular, "residue_field", no_extension)
+    f = frobenius_deficit_map(residue_field(2, 2), 1, d=4)
+    with pytest.raises(BudgetExceeded) as info:
+        residue_zero_count(f, 8, budget=10)
+    assert (info.value.required, info.value.budget) == (65536, 10)
+    assert str(info.value) == "enumeration of 65536 points exceeds budget 10"
+    with pytest.raises(BudgetExceeded):
+        bezout_check(f, 8, budget=10)
 
 
 @pytest.mark.parametrize("ring", [truncated_zp(3, 2), build_unramified(2, 2, 1)])
