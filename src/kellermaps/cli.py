@@ -60,7 +60,7 @@ def parse_input(text: str, command: str = "check", options: dict | None = None) 
     opts = dict(DEFAULT_OPTIONS)
     if options:
         opts.update(options)
-    for key in ("trials", "dim"):
+    for key in ("trials", "dim", "budget"):
         if opts[key] < 0:
             raise ValidationError(f"--{key} must be >= 0, got {opts[key]}")
     from .parsing import parse_map_document

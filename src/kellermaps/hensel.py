@@ -26,8 +26,6 @@ from .jacobian import adjugate_scalar, det_scalar, is_keller, jacobian_matrix
 from .polynomials import MultiPoly, PolyMap, least_root, residue_values
 from .rings import (
     DEFAULT_BUDGET,
-    EQUAL,
-    MIXED,
     RESIDUE_FIELD,
     Record,
     RingElement,
@@ -67,21 +65,9 @@ def _div_exact(a: RingElement, b: RingElement) -> RingElement:
         return a * b.inverse()
     if a.ord < m:
         raise PreconditionFailed("division would leave the ring")
-    p, n = ring.p, ring.precision
-    if ring.kind == MIXED:
-        pm = p**m
-        unit = ring.from_int(b.val // pm)
-        shifted = ring.from_int(a.val // pm)
-        return shifted * unit.inverse()
-    if ring.kind == EQUAL:
-        unit = ring.from_coeffs(b.val[m:])
-        shifted = ring.from_coeffs(a.val[m:])
-        return shifted * unit.inverse()
-    # unramified: the maximal ideal is (p), so divide coefficient-wise
-    pm = p**m
-    unit = ring.from_coeffs(tuple(c // pm for c in b.val))
-    shifted = ring.from_coeffs(tuple(c // pm for c in a.val))
-    return shifted * unit.inverse()
+    shift = ring.arith.div_uniformizer
+    unit = RingElement(ring, shift(b.val, m))
+    return RingElement(ring, shift(a.val, m)) * unit.inverse()
 
 
 def hensel_lift(

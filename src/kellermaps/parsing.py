@@ -18,7 +18,6 @@ parse -> print -> parse is the identity.
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 from .errors import ParseError, ValidationError
@@ -224,6 +223,11 @@ def parse_integer_poly(text: str, line: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # ring lines
 
+# Largest prec a ring line may ask for. The ring computes p^prec when it is
+# built and a series element holds prec coefficients, so an unbounded prec
+# hangs a one-line job.
+MAX_PRECISION = 4096
+
 
 def parse_ring_line(text: str, line: int = 1) -> Ring:
     parts = text.split()
@@ -249,8 +253,8 @@ def parse_ring_line(text: str, line: int = 1) -> Ring:
     p, prec = kv["p"], kv["prec"]
     if not is_prime(p):
         raise ValidationError(f"p={p} is not prime")
-    if prec < 1:
-        raise ValidationError("prec must be >= 1")
+    if not 1 <= prec <= MAX_PRECISION:
+        raise ValidationError(f"prec must be between 1 and {MAX_PRECISION}")
     if kind == "zp":
         return truncated_zp(p, prec)
     if kind == "fpt":
@@ -317,6 +321,8 @@ def map_document(f: PolyMap) -> str:
 
 
 def map_digest(f: PolyMap) -> str:
+    import hashlib  # loaded by the commands that print a digest only
+
     return hashlib.sha256(map_document(f).encode()).hexdigest()[:16]
 
 

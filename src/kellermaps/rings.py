@@ -10,18 +10,20 @@ is performed modulo the N-th power of the maximal ideal):
   unramified-truncated  (Z/p^N)[x]/(m(x)) for a monic lift m of an
                         irreducible polynomial over GF(p); maximal ideal (p).
 
-Internal element values:
+Each Ring picks one of three arithmetic objects when it is built, and
+element operations call it on raw values. Each holds `base`, the modulus
+of a coefficient, and `width`, the number of coefficients (0 for an int):
 
-  residue-field, n = 1   int in [0, p)
-  residue-field, n > 1   tuple of n ints in [0, p), coefficients of 1, x, ..., x^{n-1}
-  mixed-char             int in [0, p^N)
-  equal-char             tuple of N ints in [0, p), coefficients of 1, T, ..., T^{N-1}
-  unramified             tuple of n ints in [0, p^N), coefficients of 1, x, ..., x^{n-1}
+  _IntArith     Z/p^N: an int in [0, p^N). GF(p) is the case N = 1.
+  _SeriesArith  GF(p)[T]/T^N: a tuple of N ints in [0, p), the
+                coefficients of 1, T, ..., T^{N-1}.
+  _ExtArith     (Z/p^N)[x]/(m): a tuple of n ints in [0, p^N), the
+                coefficients of 1, x, ..., x^{n-1}. GF(p^n) is the case N = 1.
 
-The canonical ordering of residue elements is by coefficient vector with the
-most significant coefficient last, i.e. by the integer a_0 + a_1 p + ... .
+The canonical ordering of elements is by coefficient vector with the most
+significant coefficient last, i.e. by the integer a_0 + a_1 base + ... .
 Extension moduli are chosen deterministically: the first monic irreducible
-polynomial in that same coefficient ordering.
+polynomial over GF(p) in that same coefficient ordering.
 
 All values are immutable; every operation is pure.
 """
@@ -63,17 +65,6 @@ def _trim(coeffs: Sequence[int]) -> tuple:
     while i > 0 and coeffs[i - 1] == 0:
         i -= 1
     return tuple(coeffs[:i])
-
-
-def _polymul_p(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
 
 
 def _polymod_p(a: Sequence[int], m: Sequence[int], p: int) -> tuple:
@@ -124,6 +115,166 @@ def _find_modulus(p: int, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# raw-value arithmetic, one object per ring
+#
+# Each object provides add, sub, neg, mul, ord (the valuation), inv (of a
+# unit), reduce (the residue map) and div_uniformizer (exact division by the
+# m-th power of the uniformizer p or T).
+
+
+def _p_ord(c: int, p: int) -> int:
+    """The p-adic valuation of a nonzero int."""
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+class _IntArith:
+    """Z/p^N on ints in [0, p^N); GF(p) is the case N = 1."""
+
+    width = 0
+
+    def __init__(self, p: int, precision: int):
+        self.p, self.precision, self.base = p, precision, p**precision
+
+    def add(self, a, b):
+        return (a + b) % self.base
+
+    def sub(self, a, b):
+        return (a - b) % self.base
+
+    def neg(self, a):
+        return -a % self.base
+
+    def mul(self, a, b):
+        return a * b % self.base
+
+    def ord(self, a) -> int:
+        return _p_ord(a, self.p) if a else self.precision
+
+    def inv(self, a):
+        return pow(a, -1, self.base)
+
+    def reduce(self, a):
+        return a % self.p
+
+    def div_uniformizer(self, a, m: int):
+        return a // self.p**m
+
+
+class _VectorArith:
+    """Coefficient-wise addition on tuples of ints in [0, base)."""
+
+    def add(self, a, b):
+        m = self.base
+        return tuple((x + y) % m for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        m = self.base
+        return tuple((x - y) % m for x, y in zip(a, b))
+
+    def neg(self, a):
+        m = self.base
+        return tuple(-x % m for x in a)
+
+
+class _SeriesArith(_VectorArith):
+    """GF(p)[T]/T^N on N-tuples of ints in [0, p)."""
+
+    def __init__(self, p: int, precision: int):
+        self.p = self.base = p
+        self.precision = self.width = precision
+
+    def mul(self, a, b):
+        n, p = self.width, self.p
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n - i):
+                    bj = b[j]
+                    if bj:
+                        out[i + j] = (out[i + j] + ai * bj) % p
+        return tuple(out)
+
+    def ord(self, a) -> int:
+        for i, c in enumerate(a):
+            if c:
+                return i
+        return self.precision
+
+    def inv(self, a):
+        p, n = self.p, self.width
+        b0 = pow(a[0], -1, p)
+        out = [b0] + [0] * (n - 1)
+        for k in range(1, n):
+            s = 0
+            for i in range(1, k + 1):
+                s += a[i] * out[k - i]
+            out[k] = (-b0 * s) % p
+        return tuple(out)
+
+    def reduce(self, a):
+        return a[0]
+
+    def div_uniformizer(self, a, m: int):
+        return a[m:] + (0,) * m
+
+
+class _ExtArith(_VectorArith):
+    """(Z/p^N)[x]/(m) on n-tuples of ints in [0, p^N), for a monic m of
+    degree n irreducible over GF(p); GF(p^n) is the case N = 1."""
+
+    def __init__(self, p: int, precision: int, modulus: tuple):
+        self.p, self.precision, self.modulus = p, precision, modulus
+        self.base = p**precision
+        self.width = len(modulus) - 1
+
+    def mul(self, a, b):
+        # convolve, then reduce by the monic modulus from the top degree down
+        m, n, mod = self.base, self.width, self.modulus
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        prod[i + j] = (prod[i + j] + ai * bj) % m
+        for i in range(2 * n - 2, n - 1, -1):
+            c = prod[i]
+            if c:
+                for j in range(n):
+                    prod[i - n + j] = (prod[i - n + j] - c * mod[j]) % m
+        return tuple(prod[:n])
+
+    def ord(self, a) -> int:
+        return min((_p_ord(c, self.p) for c in a if c), default=self.precision)
+
+    def inv(self, a):
+        # a^(q-2) inverts a modulo p, since a^(q-1) = 1 in GF(q); each Newton
+        # step z <- z(2 - az) then doubles the number of correct p-adic digits
+        one = (1,) + (0,) * (self.width - 1)
+        z, power, e = one, a, self.p**self.width - 2
+        while e:
+            if e & 1:
+                z = self.mul(z, power)
+            power = self.mul(power, power)
+            e >>= 1
+        two = self.add(one, one)
+        for _ in range((self.precision - 1).bit_length()):
+            z = self.mul(z, self.sub(two, self.mul(a, z)))
+        return z
+
+    def reduce(self, a):
+        p = self.p
+        return tuple(c % p for c in a)
+
+    def div_uniformizer(self, a, m: int):
+        pm = self.p**m
+        return tuple(c // pm for c in a)
+
+
+# ---------------------------------------------------------------------------
 
 
 class Record:
@@ -167,11 +318,13 @@ class Record:
 class Ring:
     """Descriptor of a residue field or truncated local ring (O, M, k).
 
-    Immutable; equal and hashed on its five parameters. The log tables of
-    an extension residue field are built on first use of `zech_tables`.
+    Immutable; equal and hashed on its five parameters. `arith` is the
+    arithmetic object on raw element values, chosen when the ring is built.
+    The log tables of an extension residue field are built on first use of
+    `zech_tables`.
     """
 
-    __slots__ = ("kind", "p", "residue_degree", "precision", "modulus", "_key", "_zech")
+    __slots__ = ("kind", "p", "residue_degree", "precision", "modulus", "_key", "_zech", "arith")
 
     def __init__(
         self,
@@ -206,6 +359,13 @@ class Ring:
                 raise InvalidInput("modulus is reducible over GF(p)")
         elif self.modulus is not None:
             raise InvalidInput("degree-1 rings carry no modulus")
+        if kind == EQUAL:
+            arith = _SeriesArith(p, precision)
+        elif modulus is None:
+            arith = _IntArith(p, precision)
+        else:
+            arith = _ExtArith(p, precision, modulus)
+        object.__setattr__(self, "arith", arith)
 
     def __setattr__(self, *_):
         raise AttributeError("rings are immutable")
@@ -236,13 +396,7 @@ class Ring:
 
     @property
     def element_count(self) -> int:
-        if self.kind == RESIDUE_FIELD:
-            return self.q
-        return self.p ** (self.residue_degree * self.precision)
-
-    @property
-    def is_field(self) -> bool:
-        return self.kind == RESIDUE_FIELD
+        return self.arith.base ** max(self.arith.width, 1)
 
     @property
     def char_zero_family(self) -> bool:
@@ -271,39 +425,22 @@ class Ring:
 
     # -- element construction ----------------------------------------------
 
-    def _width(self) -> int:
-        if self.kind == MIXED or (self.kind == RESIDUE_FIELD and self.residue_degree == 1):
-            return 0  # int-valued
-        if self.kind == EQUAL:
-            return self.precision
-        return self.residue_degree
-
-    def _coeff_mod(self) -> int:
-        if self.kind in (MIXED, UNRAMIFIED):
-            return self.p**self.precision
-        return self.p
-
     def from_int(self, v: int) -> "RingElement":
-        m = self._coeff_mod()
-        w = self._width()
+        w, m = self.arith.width, self.arith.base
         if w == 0:
             return RingElement(self, v % m)
-        val = [0] * w
-        val[0] = v % m
-        return RingElement(self, tuple(val))
+        return RingElement(self, (v % m,) + (0,) * (w - 1))
 
     def from_coeffs(self, coeffs: Sequence[int]) -> "RingElement":
         """Element from its canonical coefficient vector."""
-        m = self._coeff_mod()
-        w = self._width()
+        w, m = self.arith.width, self.arith.base
         if w == 0:
             if len(coeffs) != 1:
                 raise InvalidInput("expected a single coefficient")
             return RingElement(self, coeffs[0] % m)
         if len(coeffs) > w:
             raise InvalidInput(f"expected at most {w} coefficients")
-        val = [c % m for c in coeffs] + [0] * (w - len(coeffs))
-        return RingElement(self, tuple(val))
+        return RingElement(self, tuple(c % m for c in coeffs) + (0,) * (w - len(coeffs)))
 
     def __call__(self, v: Union[int, "RingElement", Sequence[int]]) -> "RingElement":
         if isinstance(v, RingElement):
@@ -324,7 +461,7 @@ class Ring:
 
     def theta(self) -> "RingElement":
         """The class of x, the generator of the extension basis."""
-        if self._width() == 0 or self.kind == EQUAL:
+        if self.residue_degree == 1:
             raise InvalidInput("ring has no extension generator")
         return self.from_coeffs((0, 1))
 
@@ -336,171 +473,24 @@ class Ring:
             return self.from_coeffs((0, 1))
         return self.from_int(self.p)
 
-    # -- value-level arithmetic ---------------------------------------------
-
-    def _add(self, a, b):
-        if self._width() == 0:
-            return (a + b) % self._coeff_mod()
-        m = self._coeff_mod()
-        return tuple((x + y) % m for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        if self._width() == 0:
-            return (a - b) % self._coeff_mod()
-        m = self._coeff_mod()
-        return tuple((x - y) % m for x, y in zip(a, b))
-
-    def _neg(self, a):
-        if self._width() == 0:
-            return (-a) % self._coeff_mod()
-        m = self._coeff_mod()
-        return tuple((-x) % m for x in a)
-
-    def _mul(self, a, b):
-        kind = self.kind
-        if self._width() == 0:
-            return (a * b) % self._coeff_mod()
-        if kind == EQUAL:
-            n = self.precision
-            p = self.p
-            out = [0] * n
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(n - i):
-                        bj = b[j]
-                        if bj:
-                            out[i + j] = (out[i + j] + ai * bj) % p
-            return tuple(out)
-        # extension kinds: convolve then reduce by the (lifted) modulus
-        m = self._coeff_mod()
-        n = self.residue_degree
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % m
-        mod = self.modulus
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(n):
-                    prod[i - n + j] = (prod[i - n + j] - c * mod[j]) % m
-        return tuple(prod[:n])
-
-    def _ord(self, a) -> int:
-        kind = self.kind
-        if kind == RESIDUE_FIELD:
-            if self.residue_degree == 1:
-                return 0 if a else 1
-            return 0 if any(a) else 1
-        if kind == MIXED:
-            if a == 0:
-                return self.precision
-            v = 0
-            while a % self.p == 0:
-                a //= self.p
-                v += 1
-            return v
-        if kind == EQUAL:
-            for i, c in enumerate(a):
-                if c:
-                    return i
-            return self.precision
-        # unramified: the maximal ideal is (p)
-        best = self.precision
-        for c in a:
-            if c:
-                v = 0
-                while c % self.p == 0:
-                    c //= self.p
-                    v += 1
-                if v < best:
-                    best = v
-                if best == 0:
-                    return 0
-        return best
-
-    def _inv(self, a):
-        if self._ord(a) != 0:
-            raise NonUnitInverse(f"ord {self._ord(a)} element has no inverse")
-        kind = self.kind
-        if kind == MIXED:
-            return pow(a, -1, self._coeff_mod())
-        if kind == RESIDUE_FIELD and self.residue_degree == 1:
-            return pow(a, self.p - 2, self.p)
-        if kind == RESIDUE_FIELD:
-            # x^(q-2) by square and multiply
-            e = self.q - 2
-            acc = self.from_int(1).val
-            base = a
-            while e:
-                if e & 1:
-                    acc = self._mul(acc, base)
-                base = self._mul(base, base)
-                e >>= 1
-            return acc
-        if kind == EQUAL:
-            p, n = self.p, self.precision
-            b0 = pow(a[0], p - 2, p)
-            out = [b0] + [0] * (n - 1)
-            for k in range(1, n):
-                s = 0
-                for i in range(1, k + 1):
-                    s += a[i] * out[k - i]
-                out[k] = (-b0 * s) % p
-            return tuple(out)
-        # unramified: invert the residue, then Newton-lift z <- z(2 - az)
-        k = self.residue_ring()
-        z = self.lift_from_residue_val(k._inv(self.reduce_val(a)))
-        two = self.from_int(2).val
-        for _ in range(max(1, self.precision.bit_length()) + 1):
-            z = self._mul(z, self._sub(two, self._mul(a, z)))
-        if self._mul(a, z) != self.one.val:
-            raise NonUnitInverse("inverse lift failed")  # pragma: no cover
-        return z
-
-    # -- residue reduction and lifting --------------------------------------
-
-    def reduce_val(self, a):
-        kind = self.kind
-        if kind == RESIDUE_FIELD:
-            return a
-        if kind == MIXED:
-            return a % self.p
-        if kind == EQUAL:
-            return a[0]
-        return tuple(c % self.p for c in a)
-
-    def lift_from_residue_val(self, a):
-        kind = self.kind
-        if kind == RESIDUE_FIELD:
-            return a
-        if kind == MIXED:
-            return a
-        if kind == EQUAL:
-            return (a,) + (0,) * (self.precision - 1)
-        return a
-
     # -- ordering and enumeration -------------------------------------------
 
     def index_of(self, a) -> int:
         """Canonical ordering index of a value (most significant coefficient last)."""
-        if self._width() == 0:
+        if self.arith.width == 0:
             return a
-        base = self._coeff_mod()
+        base = self.arith.base
         idx = 0
         for c in reversed(a):
             idx = idx * base + c
         return idx
 
     def from_index(self, idx: int) -> "RingElement":
-        if self._width() == 0:
-            return RingElement(self, idx % self._coeff_mod())
-        base = self._coeff_mod()
+        w, base = self.arith.width, self.arith.base
+        if w == 0:
+            return RingElement(self, idx % base)
         val = []
-        for _ in range(self._width()):
+        for _ in range(w):
             val.append(idx % base)
             idx //= base
         return RingElement(self, tuple(val))
@@ -560,7 +550,7 @@ class RingElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring._add(self.val, o.val))
+        return RingElement(self.ring, self.ring.arith.add(self.val, o.val))
 
     __radd__ = __add__
 
@@ -568,24 +558,24 @@ class RingElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring._sub(self.val, o.val))
+        return RingElement(self.ring, self.ring.arith.sub(self.val, o.val))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring._sub(o.val, self.val))
+        return RingElement(self.ring, self.ring.arith.sub(o.val, self.val))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring._mul(self.val, o.val))
+        return RingElement(self.ring, self.ring.arith.mul(self.val, o.val))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RingElement(self.ring, self.ring._neg(self.val))
+        return RingElement(self.ring, self.ring.arith.neg(self.val))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -600,14 +590,16 @@ class RingElement:
         return acc
 
     def inverse(self) -> "RingElement":
-        return RingElement(self.ring, self.ring._inv(self.val))
+        if self.ord != 0:
+            raise NonUnitInverse(f"ord {self.ord} element has no inverse")
+        return RingElement(self.ring, self.ring.arith.inv(self.val))
 
     @property
     def ord(self) -> int:
         """Valuation ord_M, in {0, ..., precision}."""
         v = self._ord
         if v is None:
-            v = self.ring._ord(self.val)
+            v = self.ring.arith.ord(self.val)
             object.__setattr__(self, "_ord", v)
         return v
 
@@ -621,7 +613,7 @@ class RingElement:
 
     def reduce(self) -> "RingElement":
         """Image in the residue field."""
-        return RingElement(self.ring.residue_ring(), self.ring.reduce_val(self.val))
+        return RingElement(self.ring.residue_ring(), self.ring.arith.reduce(self.val))
 
     @property
     def index(self) -> int:
@@ -629,7 +621,7 @@ class RingElement:
 
     def coeffs(self) -> tuple:
         """Canonical coefficient vector (length 1 for int-valued kinds)."""
-        if self.ring._width() == 0:
+        if self.ring.arith.width == 0:
             return (self.val,)
         return self.val
 
@@ -694,7 +686,7 @@ def _zech_tables(k: Ring) -> ZechTables:
         a = k.index_of(v)
         exp[i] = a
         log[a] = i
-        v = k._mul(v, g.val)
+        v = k.arith.mul(v, g.val)
     # adding one raises the lowest base-p digit of the index by one
     zech = tuple(log[a - a % p + (a + 1) % p] for a in exp)
     return ZechTables(tuple(exp), tuple(log), zech)
@@ -706,9 +698,7 @@ def _zech_tables(k: Ring) -> ZechTables:
 
 @lru_cache(maxsize=None)
 def _residue_ring_of(ring: Ring) -> Ring:
-    if ring.kind == UNRAMIFIED:
-        return Ring(RESIDUE_FIELD, ring.p, ring.residue_degree, 1, ring.modulus)
-    return Ring(RESIDUE_FIELD, ring.p)
+    return Ring(RESIDUE_FIELD, ring.p, ring.residue_degree, 1, ring.modulus)
 
 
 def residue_field(p: int, n: int = 1) -> Ring:
@@ -743,40 +733,26 @@ def lift_from_residue(xbar: RingElement, ring: Ring) -> RingElement:
         raise RingMismatch(
             f"{xbar.ring.describe()} is not the residue field of {ring.describe()}"
         )
-    return RingElement(ring, ring.lift_from_residue_val(xbar.val))
+    return ring.from_coeffs(xbar.coeffs())
+
+
+def _family(ring: Ring) -> tuple:
+    return ring.kind, ring.p, ring.residue_degree, ring.modulus
 
 
 def lift_to_precision(x: RingElement, ring: Ring) -> RingElement:
     """Canonical injection into the same ring family at higher precision."""
-    r = x.ring
-    if (r.kind, r.p, r.residue_degree, r.modulus) != (
-        ring.kind,
-        ring.p,
-        ring.residue_degree,
-        ring.modulus,
-    ) or ring.precision < r.precision:
+    if _family(x.ring) != _family(ring) or ring.precision < x.ring.precision:
         raise RingMismatch("target is not a precision lift of the source ring")
-    if r.kind == EQUAL:
-        return RingElement(ring, x.val + (0,) * (ring.precision - r.precision))
-    return RingElement(ring, x.val)
+    return ring.from_coeffs(x.coeffs())
 
 
 def project_to_precision(x: RingElement, ring: Ring) -> RingElement:
     """Truncation onto the same ring family at lower precision."""
-    r = x.ring
-    if (r.kind, r.p, r.residue_degree, r.modulus) != (
-        ring.kind,
-        ring.p,
-        ring.residue_degree,
-        ring.modulus,
-    ) or ring.precision > r.precision:
+    if _family(x.ring) != _family(ring) or ring.precision > x.ring.precision:
         raise RingMismatch("target is not a truncation of the source ring")
-    if r.kind == MIXED:
-        return RingElement(ring, x.val % ring._coeff_mod())
-    if r.kind == EQUAL:
-        return RingElement(ring, x.val[: ring.precision])
-    m = ring._coeff_mod()
-    return RingElement(ring, tuple(c % m for c in x.val))
+    # a series keeps its first N coefficients; the other kinds keep them all
+    return ring.from_coeffs(x.coeffs()[: ring.arith.width or 1])
 
 
 def residue_point_count(ring: Ring, nvars: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -816,7 +792,7 @@ def point_index(point: Sequence[RingElement]) -> int:
 
 def text_of(x: RingElement) -> str:
     """Canonical text: an integer, or a bracketed coefficient vector."""
-    if x.ring._width() == 0:
+    if x.ring.arith.width == 0:
         return str(x.val)
     return "[" + ",".join(str(c) for c in x.val) + "]"
 

@@ -1,11 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kellermaps
 from kellermaps.cli import main, parse_input, render_json, run_job
 from kellermaps.errors import BadPrime, ParseError, ValidationError
 from kellermaps.parsing import (
+    MAX_PRECISION,
     map_document,
     parse_integer_poly,
     parse_map_document,
@@ -237,7 +243,8 @@ def test_main_unwritable_output_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--cmd", "probe", "--trials", "-1"], ["--cmd", "construct", "--name", "charp", "--dim", "-1"]],
+    [["--cmd", "probe", "--trials", "-1"], ["--cmd", "construct", "--name", "charp", "--dim", "-1"],
+     ["--cmd", "check", "--budget", "-5"]],
 )
 def test_main_negative_count_is_a_usage_error(argv, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("ring fpt p=5 prec=2 / map n=1 / F1 = X1"))
@@ -247,3 +254,18 @@ def test_main_negative_count_is_a_usage_error(argv, monkeypatch, capsys):
     assert captured.err.startswith(f"error: {argv[-2]} must be >= 0")
     with pytest.raises(ValidationError):
         parse_input("ring zp p=3 prec=2 / map n=1 / F1 = X1", "probe", {"trials": -1})
+
+
+@pytest.mark.parametrize("kind", ["zp", "fpt"])
+def test_main_huge_precision_is_a_usage_error(kind):
+    # a separate process, so that building the ring cannot hang the suite
+    src = str(Path(kellermaps.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kellermaps.cli", "-", "--cmd", "check"],
+                          input=f"ring {kind} p=5 prec=99999999 / map n=1 / F1 = X1",
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: prec must be between 1 and {MAX_PRECISION}")
+    assert parse_ring_line(f"ring {kind} p=5 prec={MAX_PRECISION}").precision == MAX_PRECISION
+    with pytest.raises(ValidationError):
+        parse_ring_line(f"ring {kind} p=5 prec={MAX_PRECISION + 1}")

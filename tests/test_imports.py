@@ -18,8 +18,8 @@ import kellermaps
 SRC = Path(kellermaps.__file__).resolve().parent.parent
 SUBMODULES = ("cli", "constructions", "errors", "hensel", "jacobian", "parsing",
               "polynomials", "rings", "unimodular")
-# every library module that a process may import, and dataclasses
-WATCHED = ["dataclasses"] + [f"kellermaps.{name}" for name in SUBMODULES]
+# every library module that a process may import, dataclasses and hashlib
+WATCHED = ["dataclasses", "hashlib"] + [f"kellermaps.{name}" for name in SUBMODULES]
 
 CHECK_DOC = "ring fpt p=5 prec=2 / map n=2 / F1 = X1 - X1^5 / F2 = X2 - X2^5"
 LIFT_DOC = "ring zp p=7 prec=4 / map n=1 / F1 = X1^2 - 2"
@@ -76,7 +76,7 @@ def run_main(doc: str, *argv: str) -> str:
     [
         (CHECK_DOC, ["--cmd", "check"], {"kellermaps.hensel", "kellermaps.constructions"}),
         ("ring zp p=7 prec=1", ["--cmd", "bound", "--d", "2"],
-         {"kellermaps.hensel", "kellermaps.constructions"}),
+         {"kellermaps.hensel", "kellermaps.constructions", "hashlib"}),
         (LIFT_DOC, ["--cmd", "lift", "--point", "3"],
          {"kellermaps.unimodular", "kellermaps.constructions"}),
         (CHECK_DOC, ["--cmd", "fiber"],

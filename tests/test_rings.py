@@ -3,7 +3,9 @@ import random
 import pytest
 
 from kellermaps.errors import BudgetExceeded, InvalidInput, NonUnitInverse, RingMismatch
+from kellermaps.hensel import _div_exact
 from kellermaps.rings import (
+    EQUAL,
     MIXED,
     RESIDUE_FIELD,
     Ring,
@@ -11,6 +13,8 @@ from kellermaps.rings import (
     build_unramified,
     enumerate_residue_points,
     lift_from_residue,
+    lift_to_precision,
+    project_to_precision,
     residue_field,
     truncated_fpt,
     truncated_zp,
@@ -231,3 +235,79 @@ def test_record_is_an_immutable_value():
         ZechTables((1, 2))
     with pytest.raises(TypeError):
         ZechTables((1, 2), (-1,), (1,), extra=0)
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: ring arithmetic against references on plain ints
+
+
+def reference_mul(ring):
+    """Product of coefficient vectors, computed without kellermaps: ints mod
+    p^N, full convolution truncated at T^N, or sympy's remainder by the
+    modulus for the extension kinds."""
+    p, n = ring.p, ring.precision
+    if ring.modulus is not None:
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        modulus = sympy.Poly(ring.modulus[::-1], x, domain="ZZ")
+
+        def mul(a, b):
+            product = sympy.Poly(a[::-1], x, domain="ZZ") * sympy.Poly(b[::-1], x, domain="ZZ")
+            rem = [int(c) % p**n for c in product.rem(modulus).all_coeffs()[::-1]]
+            return tuple(rem + [0] * (len(a) - len(rem)))
+
+        return mul
+    if ring.kind == EQUAL:
+
+        def mul(a, b):
+            conv = [0] * (2 * n - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    conv[i + j] += ai * bj
+            return tuple(c % p for c in conv[:n])
+
+        return mul
+    return lambda a, b: (a[0] * b[0] % p**n,)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [residue_field(7), residue_field(3, 2), truncated_zp(5, 4), truncated_fpt(3, 5),
+     build_unramified(2, 3, 4)],
+    ids=["gf7", "gf9", "zp", "fpt", "unram"],
+)
+def test_arithmetic_matches_reference(ring):
+    mul = reference_mul(ring)
+    base = ring.p if ring.kind == EQUAL else ring.p**ring.precision
+    one = ring.one.coeffs()
+    rng = random.Random(f"ring-oracle:{ring.describe()}")
+    for _ in range(150):
+        a, b = ring.random_element(rng), ring.random_element(rng)
+        assert (a * b).coeffs() == mul(a.coeffs(), b.coeffs())
+        assert (a + b).coeffs() == tuple((x + y) % base for x, y in zip(a.coeffs(), b.coeffs()))
+        # a unit is an element with a nonzero residue
+        residue = a.coeffs()[:1] if ring.kind == EQUAL else a.coeffs()
+        assert a.is_unit == any(c % ring.p for c in residue)
+        if a.is_unit:
+            assert mul(a.coeffs(), a.inverse().coeffs()) == one
+        else:
+            with pytest.raises(NonUnitInverse):
+                a.inverse()
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [truncated_zp(5, 4), truncated_fpt(3, 5), build_unramified(2, 3, 4)],
+    ids=["zp", "fpt", "unram"],
+)
+def test_precision_change_and_exact_division(ring):
+    big, small = ring.with_precision(ring.precision + 3), ring.with_precision(2)
+    rng = random.Random(f"ring-precision:{ring.describe()}")
+    for _ in range(150):
+        x, y, b = (ring.random_element(rng) for _ in range(3))
+        assert project_to_precision(lift_to_precision(x, big), ring) == x
+        assert lift_to_precision(x, big).reduce() == x.reduce()
+        assert project_to_precision(x * y, small) == (
+            project_to_precision(x, small) * project_to_precision(y, small))
+        if not b.is_zero:
+            assert _div_exact(y * b, b) * b == y * b
