@@ -25,8 +25,8 @@ import sys
 
 # Only what argument parsing and error reporting need is imported here; each
 # command imports its library modules when it runs, so --help, usage errors
-# and unreadable input load no library module, and `check` never loads hensel
-# or constructions.
+# and unreadable input load no library module, `check` never loads hensel or
+# constructions, and `construct`, `probe` and `restrict` never load hensel.
 from .errors import DEFAULT_BUDGET, KellermapsError, ParseError, ValidationError
 
 
@@ -301,21 +301,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ring/map document (path, or - for stdin)")
     parser.add_argument("--cmd", default="check",
                         choices=sorted(_HANDLERS), help="operation to run")
-    parser.add_argument("--point", default=None,
+    parser.add_argument("--point",
                         help="comma-separated integers (lift start / fiber target)")
-    parser.add_argument("--trials", type=int, default=DEFAULT_OPTIONS["trials"])
-    parser.add_argument("--seed", type=int, default=DEFAULT_OPTIONS["seed"])
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--budget", type=int,
                         help="maximum number of enumerated points")
-    parser.add_argument("--name", default=None,
+    parser.add_argument("--name",
                         help="construct name: charp, gmap or extension")
-    parser.add_argument("--dim", type=int, default=2,
+    parser.add_argument("--dim", type=int,
                         help="dimension for constructs without map lines")
-    parser.add_argument("--d", type=int, default=None,
+    parser.add_argument("--d", type=int,
                         help="degree/monomial bound for bound and extension")
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
+    parser.set_defaults(**DEFAULT_OPTIONS)
     return parser
 
 
@@ -331,15 +332,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     try:
-        options = {
-            "point": args.point,
-            "trials": args.trials,
-            "seed": args.seed,
-            "budget": args.budget,
-            "name": args.name,
-            "dim": args.dim,
-            "d": args.d,
-        }
+        options = {key: getattr(args, key) for key in DEFAULT_OPTIONS}
         spec = parse_input(text, command=args.cmd, options=options)
         doc = run_job(spec)
     except (ParseError, ValidationError) as exc:

@@ -26,7 +26,6 @@ from .errors import (
     WrongCharacteristic,
     WrongRingKind,
 )
-from .hensel import _int_det
 from .jacobian import (
     AffineKellerAuto,
     adjugate_scalar,
@@ -47,6 +46,7 @@ from .rings import (
     Ring,
     RingElement,
     build_unramified,
+    point_text,
     truncated_fpt,
     truncated_zp,
 )
@@ -78,7 +78,7 @@ def _rational_kernel_vector(b: Sequence[Sequence[int]]) -> list:
         row += 1
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
-        raise NonSingular("matrix has full rank")
+        raise NonSingular("det B != 0: no kernel witness exists")
     u = [Fraction(0)] * n
     u[free] = Fraction(1)
     for col, r in pivots.items():
@@ -118,8 +118,6 @@ def quasi_druzkowski_witness(
     n = len(b)
     if any(len(row) != n for row in b):
         raise InvalidInput("coefficient matrix must be square")
-    if _int_det([list(r) for r in b]) != 0:
-        raise NonSingular("det B != 0: no kernel witness exists")
     u_rat = _rational_kernel_vector(b)
     denom = math.lcm(*(f.denominator for f in u_rat))
     u = [int(f * denom) for f in u_rat]
@@ -437,8 +435,6 @@ def invariance_probe(
 
 
 def _vector_text(v) -> str:
-    from .rings import point_text
-
     return point_text(tuple(v))
 
 

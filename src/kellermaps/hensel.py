@@ -22,7 +22,7 @@ from .errors import (
     PrecisionTooLow,
     TheoremViolation,
 )
-from .jacobian import adjugate_scalar, det_scalar, is_keller, jacobian_matrix
+from .jacobian import adjugate_scalar, det_scalar, is_keller, jacobian_matrix, mat_vec
 from .polynomials import MultiPoly, PolyMap, least_root, residue_values
 from .rings import (
     DEFAULT_BUDGET,
@@ -105,7 +105,6 @@ def hensel_lift(
     # For m > 0 the input data only determines the root up to a sublattice of
     # M^{N-m}-small perturbations; the canonical coefficient lift makes the
     # returned representative deterministic.
-    internal_target = n_target
     if m == 0:
         work_ring = ring
     else:
@@ -126,22 +125,16 @@ def hensel_lift(
     progress = []
     current = [c.eval(beta) for c in fw.components]
     worst = min(v.ord for v in current)
-    while worst < internal_target:
+    while worst < n_target:
         j_beta = [[e.eval(beta) for e in row] for row in jw.entries]
         det = det_scalar(j_beta)
         if det.ord != m:
             raise PreconditionFailed("det JF drifted away from its starting valuation")
-        adj = adjugate_scalar(j_beta)
-        correction = []
-        for i in range(f.nvars):
-            num = work_ring.zero
-            for j in range(f.nvars):
-                num = num + adj[i][j] * current[j]
-            correction.append(_div_exact(num, det))
+        correction = [_div_exact(num, det) for num in mat_vec(adjugate_scalar(j_beta), current)]
         beta = tuple(b - c for b, c in zip(beta, correction))
         iterations += 1
         current = [c.eval(beta) for c in fw.components]
-        new_worst = min(min(v.ord for v in current), internal_target)
+        new_worst = min(min(v.ord for v in current), n_target)
         if new_worst <= worst:
             raise PreconditionFailed("no valuation progress; lift diverged")
         worst = new_worst

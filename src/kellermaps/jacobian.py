@@ -38,7 +38,7 @@ class PolyMatrix:
         nvars = rows[0][0].nvars
         for r in rows:
             for f in r:
-                if f.ring != ring or f.nvars != nvars:
+                if f.ring is not ring or f.nvars != nvars:
                     raise ArityMismatch("matrix entries disagree on ring or arity")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "ring", ring)

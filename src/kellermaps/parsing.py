@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidInput, ParseError, ValidationError
 from .polynomials import MultiPoly, PolyMap
-from .rings import (
+from .rings import (  # MAX_PRECISION stays importable from here
     EQUAL,
+    MAX_PRECISION,
     MIXED,
     RESIDUE_FIELD,
     UNRAMIFIED,
     Ring,
     build_unramified,
-    is_prime,
     text_of,
     truncated_fpt,
     truncated_zp,
@@ -38,6 +38,16 @@ from .rings import (
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<var>X\d+)|(?P<brack>\[[-\d,\s]*\])|(?P<op>[-+*^()]))"
 )
+
+
+def _int(text: str, line: int, col: int) -> int:
+    """int(text), with a ParseError where int() fails: a literal above the
+    interpreter's digit limit (4,300 by default) or a malformed digit run."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = text if len(text) <= 20 else f"{text[:10]}... ({len(text)} characters)"
+        raise ParseError(f"cannot read {shown!r} as an integer", line, col) from None
 
 
 class _Tokens:
@@ -95,7 +105,7 @@ def _parse(text: str, leaf, nvars: int, line: int):
 
 
 def _parse_sum(toks, leaf, nvars):
-    acc = _parse_signed_term(toks, leaf, nvars, allow_leading_sign=True)
+    acc = _parse_signed_term(toks, leaf, nvars)
     while True:
         kind, value, _ = toks.peek()
         if kind == "op" and value in "+-":
@@ -106,9 +116,9 @@ def _parse_sum(toks, leaf, nvars):
             return acc
 
 
-def _parse_signed_term(toks, leaf, nvars, allow_leading_sign):
+def _parse_signed_term(toks, leaf, nvars):
     kind, value, _ = toks.peek()
-    if allow_leading_sign and kind == "op" and value in "+-":
+    if kind == "op" and value in "+-":
         toks.next()
         term = _parse_term(toks, leaf, nvars)
         return term if value == "+" else -term
@@ -134,19 +144,19 @@ def _parse_factor(toks, leaf, nvars):
         kind, value, col = toks.next()
         if kind != "int":
             raise ParseError("exponent must be an integer literal", toks.line, col)
-        return base ** int(value)
+        return base ** _int(value, toks.line, col)
     return base
 
 
 def _parse_atom(toks, leaf, nvars):
     kind, value, col = toks.next()
     if kind == "int":
-        return leaf("int", int(value))
+        return leaf("int", _int(value, toks.line, col))
     if kind == "brack":
         inner = value[1:-1].strip()
-        return leaf("brack", [int(c) for c in inner.split(",")] if inner else [0])
+        return leaf("brack", [_int(c, toks.line, col) for c in inner.split(",")] if inner else [0])
     if kind == "var":
-        idx = int(value[1:])
+        idx = _int(value[1:], toks.line, col + 1)
         if not 1 <= idx <= nvars:
             raise ParseError(f"variable {value} outside X1..X{nvars}", toks.line, col)
         return leaf("var", idx - 1)
@@ -210,7 +220,7 @@ def parse_integer_poly(text: str, line: int = 1) -> dict:
     """
     if "[" in text:
         raise ParseError("bracket coefficients are not integers", line, text.index("[") + 1)
-    nvars = max((int(m[1:]) for m in re.findall(r"X\d+", text)), default=1)
+    nvars = max((_int(m[1], line, m.start(1) + 1) for m in re.finditer(r"X(\d+)", text)), default=1)
 
     def leaf(kind, value):
         if kind == "int":
@@ -222,11 +232,6 @@ def parse_integer_poly(text: str, line: int = 1) -> dict:
 
 # ---------------------------------------------------------------------------
 # ring lines
-
-# Largest prec a ring line may ask for. The ring computes p^prec when it is
-# built and a series element holds prec coefficients, so an unbounded prec
-# hangs a one-line job.
-MAX_PRECISION = 4096
 
 
 def parse_ring_line(text: str, line: int = 1) -> Ring:
@@ -242,7 +247,7 @@ def parse_ring_line(text: str, line: int = 1) -> Ring:
         k, v = item.split("=", 1)
         if not v.lstrip("-").isdigit():
             raise ParseError(f"value of {k} must be an integer", line, text.index(item) + 1)
-        kv[k] = int(v)
+        kv[k] = _int(v, line, text.index(item) + len(k) + 2)
     kind = parts[1]
     allowed = {"p", "prec"} | ({"deg"} if kind == "unram" else set())
     for k in kv:
@@ -251,18 +256,14 @@ def parse_ring_line(text: str, line: int = 1) -> Ring:
     if "p" not in kv or "prec" not in kv:
         raise ValidationError("ring line requires p= and prec=")
     p, prec = kv["p"], kv["prec"]
-    if not is_prime(p):
-        raise ValidationError(f"p={p} is not prime")
-    if not 1 <= prec <= MAX_PRECISION:
-        raise ValidationError(f"prec must be between 1 and {MAX_PRECISION}")
-    if kind == "zp":
-        return truncated_zp(p, prec)
-    if kind == "fpt":
-        return truncated_fpt(p, prec)
-    deg = kv.get("deg", 1)
-    if deg < 1:
-        raise ValidationError("deg must be >= 1")
-    return build_unramified(p, deg, prec)
+    try:
+        if kind == "zp":
+            return truncated_zp(p, prec)
+        if kind == "fpt":
+            return truncated_fpt(p, prec)
+        return build_unramified(p, kv.get("deg", 1), prec)
+    except InvalidInput as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def ring_line(ring: Ring) -> str:
@@ -277,10 +278,6 @@ def ring_line(ring: Ring) -> str:
 
 # ---------------------------------------------------------------------------
 # canonical printing
-
-
-def _coeff_text(c) -> str:
-    return text_of(c)
 
 
 def _monomial_text(exp) -> str:
@@ -301,7 +298,7 @@ def poly_text(f: MultiPoly) -> str:
     for exp in sorted(f.terms, key=lambda e: (sum(e), e)):
         c = f.terms[exp]
         mono = _monomial_text(exp)
-        ctext = _coeff_text(c)
+        ctext = text_of(c)
         if not mono:
             pieces.append(ctext)
         elif c == f.ring.one:
@@ -352,7 +349,7 @@ def parse_map_document(text: str) -> tuple:
             m = re.fullmatch(r"map\s+n\s*=\s*(\d+)", s)
             if m is None:
                 raise ParseError("expected 'map n=<int>'", ln, 1)
-            nvars = int(m.group(1))
+            nvars = _int(m.group(1), ln, m.start(1) + 1)
             if nvars < 1:
                 raise ValidationError("map needs n >= 1")
         elif s.startswith("F"):
@@ -361,7 +358,7 @@ def parse_map_document(text: str) -> tuple:
                 raise ParseError("expected 'F<k> = <polynomial>'", ln, 1)
             if ring is None or nvars is None:
                 raise ValidationError("ring and map lines must precede components")
-            k = int(m.group(1))
+            k = _int(m.group(1), ln, 2)
             if k != len(comps) + 1:
                 raise ValidationError(f"component F{k} out of order")
             comps.append(parse_poly(m.group(2), ring, nvars, ln))

@@ -43,7 +43,7 @@ class MultiPoly:
                 raise ArityMismatch(f"exponent {exp} has length != {nvars}")
             if any(e < 0 for e in exp):
                 raise ArityMismatch(f"negative exponent in {exp}")
-            if c.ring is not ring and c.ring != ring:
+            if c.ring is not ring:
                 raise RingMismatch(
                     f"coefficient in {c.ring.describe()} for a polynomial over {ring.describe()}"
                 )
@@ -95,7 +95,7 @@ class MultiPoly:
         return sum(1 for e in self.terms if sum(e) > bound)
 
     def _check_same(self, other: "MultiPoly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatch("polynomials over different rings")
         if self.nvars != other.nvars:
             raise ArityMismatch("polynomials in different variable counts")
@@ -166,7 +166,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (
-            self.ring == other.ring
+            self.ring is other.ring
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
@@ -211,8 +211,8 @@ class MultiPoly:
         pt = _normalize_point(self.ring, point)
         target = pt[0].ring if pt else self.ring
         f = self
-        if target != self.ring:
-            if target != self.ring.residue_ring():
+        if target is not self.ring:
+            if target is not self.ring.residue_ring():
                 raise RingMismatch("point is neither over the ring nor its residue field")
             f = self.reduce_to_residue()
         acc = target.zero
@@ -234,9 +234,9 @@ class MultiPoly:
         ring = substitution[0].ring
         m = substitution[0].nvars
         for g in substitution:
-            if g.ring != ring or g.nvars != m:
+            if g.ring is not ring or g.nvars != m:
                 raise RingMismatch("substitution polynomials disagree")
-        if ring != self.ring:
+        if ring is not self.ring:
             raise RingMismatch("substitution over a different ring")
         one = MultiPoly.constant(ring, m, 1)
         acc = MultiPoly.zero(ring, m)
@@ -259,7 +259,7 @@ def _normalize_point(ring: Ring, point: Sequence) -> list:
     if out:
         first = out[0].ring
         for x in out:
-            if x.ring != first:
+            if x.ring is not first:
                 raise RingMismatch("mixed rings inside one point")
     return out
 
@@ -291,7 +291,7 @@ class PolyMap:
         for f in components:
             if f.nvars != n:
                 raise ArityMismatch("square maps only: component count must equal nvars")
-            if f.ring != ring:
+            if f.ring is not ring:
                 raise RingMismatch("components over different rings")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_keller", None)
@@ -578,7 +578,7 @@ def functional_eq_on_residue(a, b, budget: int = DEFAULT_BUDGET) -> bool:
         raise ArityMismatch("maps in different variable counts")
     fa = a.reduce_to_residue()
     fb = b.reduce_to_residue()
-    if fa.ring != fb.ring:
+    if fa.ring is not fb.ring:
         raise RingMismatch("maps reduce to different residue fields")
     diff = PolyMap([x - y for x, y in zip(fa.components, fb.components)])
     return not any(any(v) for _, v in residue_values(diff, budget))

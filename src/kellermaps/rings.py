@@ -102,6 +102,8 @@ def _is_irreducible_p(f: Sequence[int], p: int) -> bool:
 @lru_cache(maxsize=None)
 def _find_modulus(p: int, n: int) -> tuple:
     """First monic irreducible of degree n over GF(p) in canonical order."""
+    if not is_prime(p):
+        raise InvalidInput(f"{p} is not prime")
     for idx in range(p**n):
         coeffs = []
         v = idx
@@ -315,49 +317,54 @@ class Record:
         return f"{type(self).__name__}({shown})"
 
 
+# the one Ring of each parameter tuple; unbounded, like the _find_modulus cache
+_RINGS: dict = {}
+
+
 class Ring:
     """Descriptor of a residue field or truncated local ring (O, M, k).
 
-    Immutable; equal and hashed on its five parameters. `arith` is the
-    arithmetic object on raw element values, chosen when the ring is built.
-    The log tables of an extension residue field are built on first use of
+    Interned: `Ring(...)` returns one object per parameter tuple, validated
+    once, so rings compare and hash by identity. `arith` is the arithmetic
+    object on raw element values, chosen when the ring is built. The log
+    tables of an extension residue field are built on first use of
     `zech_tables`.
     """
 
-    __slots__ = ("kind", "p", "residue_degree", "precision", "modulus", "_key", "_zech", "arith")
+    __slots__ = ("kind", "p", "residue_degree", "precision", "modulus", "_zech", "arith")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         kind: str,
         p: int,
         residue_degree: int = 1,
         precision: int = 1,
-        modulus: Optional[tuple] = None,
+        modulus: Optional[Sequence[int]] = None,
     ):
+        if modulus is not None:
+            modulus = tuple(modulus)
         key = (kind, p, residue_degree, precision, modulus)
-        for name, value in zip(self.__slots__, key):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_zech", None)
-        if not is_prime(self.p):
-            raise InvalidInput(f"{self.p} is not prime")
-        if self.precision < 1 or self.residue_degree < 1:
+        ring = _RINGS.get(key)
+        if ring is not None:
+            return ring
+        if not is_prime(p):
+            raise InvalidInput(f"{p} is not prime")
+        if precision < 1 or residue_degree < 1:
             raise InvalidInput("precision and residue degree must be >= 1")
-        if self.kind not in (RESIDUE_FIELD, MIXED, EQUAL, UNRAMIFIED):
-            raise InvalidInput(f"unknown ring kind {self.kind!r}")
-        if self.kind in (MIXED, EQUAL) and self.residue_degree != 1:
-            raise InvalidInput(f"{self.kind} supports residue degree 1 only")
-        if self.kind == UNRAMIFIED and self.residue_degree < 2:
+        if kind not in (RESIDUE_FIELD, MIXED, EQUAL, UNRAMIFIED):
+            raise InvalidInput(f"unknown ring kind {kind!r}")
+        if kind in (MIXED, EQUAL) and residue_degree != 1:
+            raise InvalidInput(f"{kind} supports residue degree 1 only")
+        if kind == UNRAMIFIED and residue_degree < 2:
             raise InvalidInput("use the mixed-characteristic kind for degree 1")
-        if self.kind == RESIDUE_FIELD and self.precision != 1:
+        if kind == RESIDUE_FIELD and precision != 1:
             raise InvalidInput("a residue field has precision 1")
-        if self.residue_degree > 1:
-            m = self.modulus
-            if m is None or len(m) != self.residue_degree + 1 or m[-1] != 1:
+        if residue_degree > 1:
+            if modulus is None or len(modulus) != residue_degree + 1 or modulus[-1] != 1:
                 raise InvalidInput("modulus must be monic of degree residue_degree")
-            if not _is_irreducible_p(m, self.p):
+            if not _is_irreducible_p(modulus, p):
                 raise InvalidInput("modulus is reducible over GF(p)")
-        elif self.modulus is not None:
+        elif modulus is not None:
             raise InvalidInput("degree-1 rings carry no modulus")
         if kind == EQUAL:
             arith = _SeriesArith(p, precision)
@@ -365,27 +372,20 @@ class Ring:
             arith = _IntArith(p, precision)
         else:
             arith = _ExtArith(p, precision, modulus)
-        object.__setattr__(self, "arith", arith)
+        ring = object.__new__(cls)
+        for name, value in zip(cls.__slots__, key + (None, arith)):
+            object.__setattr__(ring, name, value)
+        _RINGS[key] = ring
+        return ring
 
     def __setattr__(self, *_):
         raise AttributeError("rings are immutable")
 
     __delattr__ = __setattr__
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Ring:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
     def __repr__(self):
-        kind, p, degree, precision, modulus = self._key
-        return (f"Ring(kind={kind!r}, p={p!r}, residue_degree={degree!r}, "
-                f"precision={precision!r}, modulus={modulus!r})")
+        return (f"Ring(kind={self.kind!r}, p={self.p!r}, residue_degree={self.residue_degree!r}, "
+                f"precision={self.precision!r}, modulus={self.modulus!r})")
 
     # -- structure ---------------------------------------------------------
 
@@ -404,9 +404,7 @@ class Ring:
         return self.kind in (MIXED, UNRAMIFIED)
 
     def residue_ring(self) -> "Ring":
-        if self.kind == RESIDUE_FIELD:
-            return self
-        return _residue_ring_of(self)
+        return Ring(RESIDUE_FIELD, self.p, self.residue_degree, 1, self.modulus)
 
     def with_precision(self, precision: int) -> "Ring":
         """Same structure at a different truncation exponent."""
@@ -444,7 +442,7 @@ class Ring:
 
     def __call__(self, v: Union[int, "RingElement", Sequence[int]]) -> "RingElement":
         if isinstance(v, RingElement):
-            if v.ring != self:
+            if v.ring is not self:
                 raise RingMismatch(f"element of {v.ring.describe()} given to {self.describe()}")
             return v
         if isinstance(v, int):
@@ -536,8 +534,7 @@ class RingElement:
 
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
-            r = other.ring
-            if r is not self.ring and r != self.ring:
+            if other.ring is not self.ring:
                 raise RingMismatch(
                     f"{self.ring.describe()} vs {other.ring.describe()}"
                 )
@@ -630,7 +627,7 @@ class RingElement:
             other = self.ring.from_int(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring == other.ring and self.val == other.val
+        return self.ring is other.ring and self.val == other.val
 
     def __hash__(self):
         return hash((self.ring, self.val))
@@ -695,10 +692,16 @@ def _zech_tables(k: Ring) -> ZechTables:
 # ---------------------------------------------------------------------------
 # public constructors and module-level operations
 
+# Largest precision the public constructors accept. A ring computes p^N when
+# it is built and a series element holds N coefficients, so an unbounded N
+# hangs. `Ring` and `with_precision` stay unbounded: Hensel lifting works at
+# a boosted precision above the ring's own.
+MAX_PRECISION = 4096
 
-@lru_cache(maxsize=None)
-def _residue_ring_of(ring: Ring) -> Ring:
-    return Ring(RESIDUE_FIELD, ring.p, ring.residue_degree, 1, ring.modulus)
+
+def _check_precision(precision: int) -> None:
+    if not 1 <= precision <= MAX_PRECISION:
+        raise InvalidInput(f"prec must be between 1 and {MAX_PRECISION}")
 
 
 def residue_field(p: int, n: int = 1) -> Ring:
@@ -710,16 +713,19 @@ def residue_field(p: int, n: int = 1) -> Ring:
 
 def truncated_zp(p: int, precision: int) -> Ring:
     """Z/p^N, the mixed-characteristic truncation of the p-adic integers."""
+    _check_precision(precision)
     return Ring(MIXED, p, 1, precision)
 
 
 def truncated_fpt(p: int, precision: int) -> Ring:
     """GF(p)[T]/T^N, the equal-characteristic truncation of GF(p)[[T]]."""
+    _check_precision(precision)
     return Ring(EQUAL, p, 1, precision)
 
 
 def build_unramified(p: int, n: int, precision: int) -> Ring:
     """Truncated unramified extension of Z_p with residue field GF(p^n)."""
+    _check_precision(precision)
     if n < 1:
         raise InvalidInput("extension degree must be >= 1")
     if n == 1:
@@ -729,7 +735,7 @@ def build_unramified(p: int, n: int, precision: int) -> Ring:
 
 def lift_from_residue(xbar: RingElement, ring: Ring) -> RingElement:
     """Canonical section of the residue map."""
-    if xbar.ring != ring.residue_ring():
+    if xbar.ring is not ring.residue_ring():
         raise RingMismatch(
             f"{xbar.ring.describe()} is not the residue field of {ring.describe()}"
         )

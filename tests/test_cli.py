@@ -256,6 +256,29 @@ def test_main_negative_count_is_a_usage_error(argv, monkeypatch, capsys):
         parse_input("ring zp p=3 prec=2 / map n=1 / F1 = X1", "probe", {"trials": -1})
 
 
+HUGE = "9" * 5000  # above the interpreter's 4,300-digit int() limit
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [f"ring zp p=5 prec=2 / map n=1 / F1 = X1 + {HUGE}",
+     f"ring zp p=5 prec=2 / map n=1 / F1 = X1^{HUGE}",
+     f"ring zp p=5 prec=2 / map n=1 / F1 = X{HUGE}",
+     f"ring zp p=5 prec={HUGE} / map n=1 / F1 = X1",
+     f"ring zp p=5 prec=2 / map n={HUGE} / F1 = X1",
+     f"ring zp p=5 prec=2 / map n=1 / F{HUGE} = X1",
+     "ring unram p=2 deg=2 prec=2 / map n=1 / F1 = [1-2]*X1"],
+    ids=["literal", "exponent", "variable", "ring-value", "map-n", "component", "bracket"],
+)
+def test_main_unreadable_integer_is_a_parse_error(doc, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert main(["-", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ") and "as an integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("kind", ["zp", "fpt"])
 def test_main_huge_precision_is_a_usage_error(kind):
     # a separate process, so that building the ring cannot hang the suite

@@ -58,7 +58,7 @@ def test_druzkowski_zero_matrix():
 
 
 def test_druzkowski_rejects_invertible():
-    with pytest.raises(NonSingular):
+    with pytest.raises(NonSingular, match="det B != 0: no kernel witness exists"):
         quasi_druzkowski_witness([[1, 0], [0, 1]], 5, 2)
 
 

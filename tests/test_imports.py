@@ -23,6 +23,8 @@ WATCHED = ["dataclasses", "hashlib"] + [f"kellermaps.{name}" for name in SUBMODU
 
 CHECK_DOC = "ring fpt p=5 prec=2 / map n=2 / F1 = X1 - X1^5 / F2 = X2 - X2^5"
 LIFT_DOC = "ring zp p=7 prec=4 / map n=1 / F1 = X1^2 - 2"
+PROBE_DOC = "ring zp p=5 prec=2 / map n=2 / F1 = X1 + X2^2 / F2 = X2"
+RESTRICT_DOC = "ring unram p=2 deg=2 prec=2 / map n=1 / F1 = X1"
 
 
 def loaded_after(code: str) -> set:
@@ -81,8 +83,11 @@ def run_main(doc: str, *argv: str) -> str:
          {"kellermaps.unimodular", "kellermaps.constructions"}),
         (CHECK_DOC, ["--cmd", "fiber"],
          {"kellermaps.unimodular", "kellermaps.constructions"}),
+        ("ring fpt p=5 prec=2", ["--cmd", "construct", "--name", "charp"], {"kellermaps.hensel"}),
+        (PROBE_DOC, ["--cmd", "probe", "--trials", "2"], {"kellermaps.hensel"}),
+        (RESTRICT_DOC, ["--cmd", "restrict"], {"kellermaps.hensel", "hashlib"}),
     ],
-    ids=["check", "bound", "lift", "fiber"],
+    ids=["check", "bound", "lift", "fiber", "construct", "probe", "restrict"],
 )
 def test_cli_command_loads_only_its_modules(doc, argv, absent):
     loaded = loaded_after(run_main(doc, *argv))

@@ -1,11 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kellermaps
 
 from kellermaps.errors import BudgetExceeded, InvalidInput, NonUnitInverse, RingMismatch
 from kellermaps.hensel import _div_exact
 from kellermaps.rings import (
     EQUAL,
+    MAX_PRECISION,
     MIXED,
     RESIDUE_FIELD,
     Ring,
@@ -213,14 +220,55 @@ def test_zech_tables_only_for_extension_fields():
 
 def test_ring_is_an_immutable_value():
     a, b = truncated_zp(5, 2), Ring(MIXED, 5, 1, 2)
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a != truncated_zp(5, 3) and a != "Z/5^2"
     assert residue_field(2, 2) == Ring(RESIDUE_FIELD, 2, residue_degree=2, modulus=(1, 1, 1))
+    assert residue_field(2, 2) is Ring(RESIDUE_FIELD, 2, 2, 1, [1, 1, 1])
     assert eval(repr(a), {"Ring": Ring}) == a
     with pytest.raises(AttributeError):
         a.precision = 3
     with pytest.raises(InvalidInput):
         Ring(RESIDUE_FIELD, 2, 2, 1, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over GF(2)
+
+
+def test_equal_parameters_share_one_ring_and_its_tables():
+    assert residue_field(3, 2).zech_tables is residue_field(3, 2).zech_tables
+    for r in (truncated_zp(3, 4), truncated_fpt(3, 4), build_unramified(3, 2, 4)):
+        assert r.with_precision(r.precision) is r
+        assert r.with_precision(9).with_precision(4) is r
+        k = r.residue_ring()
+        assert k.residue_ring() is k and r.residue_ring() is k
+    assert build_unramified(3, 2, 4).residue_ring() is residue_field(3, 2)
+
+
+def test_constructors_bound_the_precision():
+    for build in (lambda n: truncated_zp(5, n), lambda n: truncated_fpt(5, n),
+                  lambda n: build_unramified(5, 2, n)):
+        assert build(MAX_PRECISION).precision == MAX_PRECISION
+        for n in (0, MAX_PRECISION + 1):
+            with pytest.raises(InvalidInput, match=f"prec must be between 1 and {MAX_PRECISION}"):
+                build(n)
+    # Hensel's boosted ring goes above the bound, so Ring itself has none
+    big = truncated_zp(5, MAX_PRECISION).with_precision(MAX_PRECISION + 1)
+    assert big is Ring(MIXED, 5, 1, MAX_PRECISION + 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [("truncated_zp(5, 10**8)", f"prec must be between 1 and {MAX_PRECISION}"),
+     ("build_unramified(5, 2, 10**8)", f"prec must be between 1 and {MAX_PRECISION}"),
+     ("build_unramified(10**12, 2, 2)", "1000000000000 is not prime")],
+    ids=["zp-prec", "unram-prec", "unram-composite"],
+)
+def test_bad_parameters_fail_fast(call, message):
+    # a separate process, so that computing 5^(10^8), or searching for a
+    # modulus over Z/10^12, cannot hang the suite
+    src = str(Path(kellermaps.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import kellermaps as km\ntry:\n    km.{call}\nexcept km.InvalidInput as exc:\n    print(exc)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.stdout == message + "\n"
 
 
 def test_record_is_an_immutable_value():
