@@ -29,6 +29,7 @@ from .errors import (
 from .jacobian import (
     AffineKellerAuto,
     adjugate_scalar,
+    check_det_size,
     complete_to_sl,
     is_keller,
     map_compose,
@@ -176,6 +177,7 @@ def char_p_counterexample(
     """The Keller map (X_1 - X_1^p, ..., X_n - X_n^p) whose residue map is
     the zero function: every residue point is a Frobenius fixed point."""
     owner = _equal_char_ring(p, precision, ring)
+    check_det_size(n)
     comps = []
     for i in range(n):
         x = MultiPoly.variable(owner, n, i)
@@ -205,6 +207,7 @@ def g_composition_example(
     see `g_composition_zero_defect`.
     """
     owner = _equal_char_ring(5, precision, ring)
+    check_det_size(n)
     comps = []
     for i in range(n):
         x = MultiPoly.variable(owner, n, i)

@@ -1,14 +1,28 @@
 """Jacobian matrices, exact determinants and the Keller predicate.
 
-Determinants of polynomial matrices use cofactor expansion with memoization
-on column subsets, guarded at size 8: fraction-free elimination is not
-available over these coefficient rings. Affine Keller automorphisms
-G = AX + b with det(A) = 1 live here too, together with the block
-repetition operator that clones a map into fresh variable blocks.
+The Keller test det JF = 1 runs on packed exponents and raw ring values.
+Each Jacobian entry becomes a dict {packed exponent: raw value}: the
+exponent vector is one int with a fixed bit field per variable, so
+multiplying two monomials is one int addition (the packed exponent vectors
+of Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007), and the values, as `RingElement.val`
+holds them, combine through the ring's arithmetic object. A variable's
+exponent in the determinant is at most the sum over the rows of its largest
+exponent in that row, so fields of that width, fixed before expanding,
+never carry into each other; a large exponent only makes a field wider.
+
+Determinants use cofactor expansion with memoization on column subsets,
+guarded at size 8: fraction-free elimination is not available over these
+coefficient rings. The same expansion serves scalar matrices of ring
+elements. Affine Keller automorphisms G = AX + b with det(A) = 1 live here
+too, together with the block repetition operator that clones a map into
+fresh variable blocks.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import partial
 from typing import Optional, Sequence
 
 from .errors import (
@@ -22,6 +36,12 @@ from .polynomials import MultiPoly, PolyMap, map_compose
 from .rings import Ring, RingElement
 
 DET_SIZE_GUARD = 8
+
+
+def check_det_size(n: int) -> None:
+    """SizeGuardExceeded when an n x n determinant is above the guard."""
+    if n > DET_SIZE_GUARD:
+        raise SizeGuardExceeded(f"determinant of size {n} exceeds guard {DET_SIZE_GUARD}")
 
 
 class PolyMatrix:
@@ -59,9 +79,9 @@ def jacobian_matrix(f: PolyMap) -> PolyMatrix:
     )
 
 
-def _cofactor_det(entries, one, zero):
+def _cofactor_det(entries, one, zero, add, sub, mul):
     """Cofactor expansion along the rows, memoised on the remaining column
-    set; zero entries are skipped."""
+    set; entries equal to `zero` are skipped."""
     memo = {}
 
     def minor(row: int, cols: tuple):
@@ -72,31 +92,77 @@ def _cofactor_det(entries, one, zero):
             acc = zero
             for k, c in enumerate(cols):
                 e = entries[row][c]
-                if not e.is_zero:
-                    term = e * minor(row + 1, cols[:k] + cols[k + 1 :])
-                    acc = acc - term if k % 2 else acc + term
+                if e != zero:
+                    term = mul(e, minor(row + 1, cols[:k] + cols[k + 1 :]))
+                    acc = sub(acc, term) if k % 2 else add(acc, term)
             memo[cols] = acc
         return acc
 
     return minor(0, tuple(range(len(entries))))
 
 
+def _packed_det(m: PolyMatrix) -> tuple:
+    """det(m) as {packed exponent: raw value} with zero values dropped, and
+    the (bit offset, mask) of each variable's exponent field."""
+    check_det_size(m.n)
+    # per variable, the sum over the rows of its largest exponent in the row
+    bound = [0] * m.nvars
+    for row in m.entries:
+        for v, top in enumerate(map(max, zip(*(exp for f in row for exp in f.terms)))):
+            bound[v] += top
+    fields, at = [], 0
+    for b in bound:
+        fields.append((at, (1 << b.bit_length()) - 1))
+        at += b.bit_length()
+
+    arith = m.ring.arith
+    a_add, a_sub, a_mul = arith.add, arith.sub, arith.mul
+    zero = m.ring.zero.val
+
+    def combine(op, a: dict, b: dict) -> dict:
+        out = dict(a)
+        for e, c in b.items():
+            c = op(out.get(e, zero), c)
+            if c == zero:
+                out.pop(e, None)
+            else:
+                out[e] = c
+        return out
+
+    def mul(a: dict, b: dict) -> dict:
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                c = a_mul(c1, c2)
+                out[e] = a_add(out[e], c) if e in out else c
+        return {e: c for e, c in out.items() if c != zero}
+
+    entries = [
+        [{sum(e << s for e, (s, _) in zip(exp, fields)): c.val for exp, c in f.terms.items()}
+         for f in row]
+        for row in m.entries
+    ]
+    add, sub = partial(combine, a_add), partial(combine, a_sub)
+    return _cofactor_det(entries, {0: m.ring.one.val}, {}, add, sub, mul), fields
+
+
 def det_poly_matrix(m: PolyMatrix) -> MultiPoly:
-    n = m.n
-    if n > DET_SIZE_GUARD:
-        raise SizeGuardExceeded(f"determinant of size {n} exceeds guard {DET_SIZE_GUARD}")
-    return _cofactor_det(
-        m.entries, MultiPoly.constant(m.ring, m.nvars, 1), MultiPoly.zero(m.ring, m.nvars)
-    )
+    """The determinant, unpacked from the packed kernel into a polynomial."""
+    det, fields = _packed_det(m)
+    ring = m.ring
+    terms = {}
+    for e, c in det.items():
+        terms[tuple((e >> s) & mask for s, mask in fields)] = RingElement(ring, c)
+    return MultiPoly(ring, m.nvars, terms)
 
 
 def is_keller(f: PolyMap) -> bool:
     """True iff det(JF) is the constant polynomial 1 at working precision."""
     if f.cached_keller is not None:
         return f.cached_keller
-    d = det_poly_matrix(jacobian_matrix(f))
-    one = MultiPoly.constant(f.ring, f.nvars, 1)
-    verdict = d == one
+    det, _ = _packed_det(jacobian_matrix(f))
+    verdict = det == {0: f.ring.one.val}
     f.cache_keller(verdict)
     return verdict
 
@@ -107,7 +173,7 @@ def is_keller(f: PolyMap) -> bool:
 
 def det_scalar(a: Sequence[Sequence[RingElement]]) -> RingElement:
     ring = a[0][0].ring
-    return _cofactor_det(a, ring.one, ring.zero)
+    return _cofactor_det(a, ring.one, ring.zero, operator.add, operator.sub, operator.mul)
 
 
 def adjugate_scalar(a: Sequence[Sequence[RingElement]]) -> tuple:
@@ -186,6 +252,7 @@ class AffineKellerAuto:
         return tuple(x + c for x, c in zip(v, self.b))
 
     def as_poly_map(self) -> PolyMap:
+        """The map x -> Ax + b; Keller, since the constructor proved det A = 1."""
         n = self.n
         comps = []
         for i in range(n):
@@ -193,7 +260,9 @@ class AffineKellerAuto:
             for j in range(n):
                 f = f + MultiPoly.variable(self.ring, n, j).scale(self.a[i][j])
             comps.append(f)
-        return PolyMap(comps)
+        out = PolyMap(comps)
+        out.cache_keller(True)
+        return out
 
     def inverse(self) -> "AffineKellerAuto":
         # det = 1, so the adjugate is the inverse of the linear part

@@ -349,10 +349,14 @@ class PolyMap:
 
 
 def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
-    """The map x -> f(g(x))."""
+    """The map x -> f(g(x)). It is Keller when f and g are cached Keller,
+    since det J(f o g) = (det Jf)(g) * det Jg = 1."""
     if f.nvars != g.nvars:
         raise ArityMismatch("composed maps must share the variable count")
-    return PolyMap([c.compose(g.components) for c in f.components])
+    out = PolyMap([c.compose(g.components) for c in f.components])
+    if f.cached_keller and g.cached_keller:
+        out.cache_keller(True)
+    return out
 
 
 # last-coordinate values evaluated together when the map has one variable,

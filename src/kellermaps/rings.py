@@ -31,7 +31,6 @@ All values are immutable; every operation is pure.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
@@ -43,15 +42,34 @@ EQUAL = "equal-char-truncated"
 UNRAMIFIED = "unramified-truncated"
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below this
+# bound exactly (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; InvalidInput at or above PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise InvalidInput(f"cannot decide primality of integers >= {PRIME_BOUND}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(p) + 1, 2):
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -382,6 +400,10 @@ class Ring:
         raise AttributeError("rings are immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copies and unpickled rings are the interned ring of the tuple
+        return Ring, (self.kind, self.p, self.residue_degree, self.precision, self.modulus)
 
     def __repr__(self):
         return (f"Ring(kind={self.kind!r}, p={self.p!r}, residue_degree={self.residue_degree!r}, "

@@ -351,5 +351,4 @@ def random_triangular_keller(
         sampled = random_affine_keller(ring, nvars, rng)
         lin = AffineKellerAuto(sampled.a, [ring.zero] * nvars)
         out = apply_affine(lin.inverse(), apply_affine(lin, out, "left"), "right")
-        out.cache_keller(True)
     return out

@@ -292,3 +292,24 @@ def test_main_huge_precision_is_a_usage_error(kind):
     assert parse_ring_line(f"ring {kind} p=5 prec={MAX_PRECISION}").precision == MAX_PRECISION
     with pytest.raises(ValidationError):
         parse_ring_line(f"ring {kind} p=5 prec={MAX_PRECISION + 1}")
+
+
+def _run_cli(argv, document):
+    # a separate process with a timeout, so that a hang fails the test
+    src = str(Path(kellermaps.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "kellermaps.cli", "-", *argv], input=document,
+                          capture_output=True, text=True, env=env, timeout=20)
+
+
+@pytest.mark.parametrize("name, p", [("charp", 3), ("gmap", 5)])
+def test_main_construct_checks_the_dimension_before_building(name, p):
+    proc = _run_cli(["--cmd", "construct", "--name", name, "--dim", "100000"], f"ring fpt p={p} prec=2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: SizeGuardExceeded: determinant of size 100000 exceeds guard 8\n"
+
+
+def test_main_huge_prime_is_a_usage_error():
+    proc = _run_cli(["--cmd", "check"], "ring zp p=1000000000000000000000000000057 prec=2 / map n=1 / F1 = X1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot decide primality of integers >= ")

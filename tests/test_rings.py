@@ -1,4 +1,7 @@
+import copy
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,11 +17,13 @@ from kellermaps.rings import (
     EQUAL,
     MAX_PRECISION,
     MIXED,
+    PRIME_BOUND,
     RESIDUE_FIELD,
     Ring,
     ZechTables,
     build_unramified,
     enumerate_residue_points,
+    is_prime,
     lift_from_residue,
     lift_to_precision,
     project_to_precision,
@@ -359,3 +364,36 @@ def test_precision_change_and_exact_division(ring):
             project_to_precision(x, small) * project_to_precision(y, small))
         if not b.is_zero:
             assert _div_exact(y * b, b) * b == y * b
+
+
+def _trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division_is_prime(n) for n in range(10**5))
+    # strong pseudoprimes to the first few prime bases, and primes near the bound
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    for n in (2**31 - 1, 2**61 - 1, 10**18 + 9, 3317044064679887385961813):
+        assert is_prime(n)
+
+
+def test_is_prime_refuses_to_guess_at_the_bound():
+    assert not is_prime(PRIME_BOUND - 2)
+    for n in (PRIME_BOUND, 10**30 + 57):
+        with pytest.raises(InvalidInput, match="cannot decide primality"):
+            is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [truncated_zp(5, 2), truncated_fpt(3, 4), build_unramified(3, 2, 3), residue_field(7),
+     residue_field(2, 3)],
+    ids=["zp", "fpt", "unram", "gfp", "gfq"],
+)
+def test_copied_and_pickled_rings_are_the_interned_ring(ring):
+    assert copy.copy(ring) is ring
+    assert copy.deepcopy(ring) is ring
+    assert pickle.loads(pickle.dumps(ring)) is ring
